@@ -9,8 +9,6 @@ the short exception lists beyond hooks.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -62,14 +60,18 @@ class Verdict:
     very_even: bool = False  # type-D label standing for two orbits
 
 
-def necessary_bound(o: OrbitDatum) -> BoundReport:
-    g = o.family
-    q = o.centralizer
-    lhs = g.dim + o.slice_dim
+def dimension_bound(g: AlgebraFamily, slice_dim: int,
+                    q: ReductiveProduct) -> BoundReport:
+    """Both sides of the necessary bound for a slice in g with full centralizer q."""
+    lhs = g.dim + slice_dim
     rhs = g.dim + q.dim + g.rank + q.rank
     rhs_eff = rhs - 2 if g.kind == "GL" else None
     slack = lhs - (rhs_eff if rhs_eff is not None else rhs)
     return BoundReport(lhs=lhs, rhs=rhs, rhs_effective=rhs_eff, slack=slack)
+
+
+def necessary_bound(o: OrbitDatum) -> BoundReport:
+    return dimension_bound(o.family, o.slice_dim, o.centralizer)
 
 
 def reduced_inequality(family_kind: str, mu: Partition) -> bool:
@@ -154,23 +156,6 @@ def classify(o: OrbitDatum) -> Verdict:
                    note="passes the necessary bound but matches no proven case")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SLICESCOPE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    n = _thread_count()
-    items = list(items)
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
 def enumerate_and_classify(family: AlgebraFamily) -> list[Verdict]:
     """One verdict per valid Jordan type, in reverse-lex order."""
     if family.kind not in ("GL", "Sp", "SO"):
@@ -178,7 +163,7 @@ def enumerate_and_classify(family: AlgebraFamily) -> list[Verdict]:
     if family.size < 1:
         raise ValueError("family size must be positive")
     types = valid_jordan_types(family.kind, family.size)
-    return _map_ordered(lambda p: classify(orbit_datum(family, p)), types)
+    return [classify(orbit_datum(family, p)) for p in types]
 
 
 EXPECTED_EXCEPTIONS: dict[str, frozenset[tuple[int, ...]]] = {
@@ -208,28 +193,23 @@ def sweep_inequality_proof(family_kind: str, n_max: int) -> SweepReport:
     """
     if n_max > 30:
         raise ValueError("n_max capped at 30")
-
-    def check_size(n: int):
-        rows = []
-        for p in valid_jordan_types(family_kind, n):
-            family = hook_family(family_kind, p)
-            o = orbit_datum(family, p)
-            direct = necessary_bound(o).slack > 0
-            reduced = reduced_inequality(family_kind, dual(p))
-            rows.append((p, direct, reduced))
-        return rows
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
 
     mismatches: list[str] = []
     exceptions: set[tuple[int, ...]] = set()
     checked = 0
-    for rows in _map_ordered(check_size, range(1, n_max + 1)):
-        for p, direct, reduced in rows:
+    for n in range(1, n_max + 1):
+        for p in valid_jordan_types(family_kind, n):
+            family = hook_family(family_kind, p)
+            direct = necessary_bound(orbit_datum(family, p)).slack > 0
+            reduced = reduced_inequality(family_kind, dual(p))
             checked += 1
             if direct != reduced:
                 mismatches.append(f"{family_kind} {p}: direct={direct} reduced={reduced}")
             if not direct:
                 if (hook_parameters(p) is None and not is_zero_type(p)
-                        and not is_regular_type(hook_family(family_kind, p), p)):
+                        and not is_regular_type(family, p)):
                     exceptions.add(p.parts)
     expected = EXPECTED_EXCEPTIONS[family_kind]
     expected_in_range = {t for t in expected if sum(t) <= n_max}
@@ -267,11 +247,9 @@ def scan_exceptional(table: ExceptionalOrbitTable) -> list[ScanRow]:
     out = []
     for row in table.rows:
         s = g.dim - row.orbit_dim
-        q = row.centralizer
-        lhs = g.dim + s
-        rhs = g.dim + q.dim + g.rank + q.rank
+        b = dimension_bound(g, s, row.centralizer)
         out.append(ScanRow(
             algebra=g, label=row.label, orbit_dim=row.orbit_dim, slice_dim=s,
-            centralizer=q, lhs=lhs, rhs=rhs, slack=lhs - rhs,
+            centralizer=row.centralizer, lhs=b.lhs, rhs=b.rhs, slack=b.slack,
         ))
     return out

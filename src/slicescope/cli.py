@@ -151,11 +151,10 @@ def cmd_verify(args, out) -> int:
     if args.case:
         cases = [args.case]
     elif args.partition:
+        if not args.family:
+            raise UsageError("--partition needs --family")
         p = parse_partition(args.partition)
-        if args.family != "gl":
-            raise UsageError("free-partition verification is limited to gl; "
-                             "use --case for the named hook and (3,3) cases")
-        cases = [f"gl{p.n}-" + ".".join(str(x) for x in p.parts)]
+        cases = [f"{args.family}{p.n}-" + ".".join(str(x) for x in p.parts)]
     else:
         raise UsageError("verify needs --case or --family/--partition")
     failures = 0
@@ -199,7 +198,10 @@ def cmd_scan(args, out) -> int:
 
 def cmd_sweep(args, out) -> int:
     kind = {"gl": "GL", "sp": "Sp", "so": "SO"}[args.family]
-    report = classifier.sweep_inequality_proof(kind, args.n_max)
+    try:
+        report = classifier.sweep_inequality_proof(kind, args.n_max)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     names = sorted("(" + ",".join(map(str, t)) + ")"
                    for t in report.exceptions_beyond_hooks)
     out.write(f"family {args.family}, n_max {report.n_max}: "
@@ -252,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_dual)
 
     p = sub.add_parser("verify", help="sampled coisotropy verification")
-    p.add_argument("--case", help="e.g. sp6-33, gl5-hook2, so7-hook2")
+    p.add_argument("--case", help="e.g. sp6-33, gl5-hook2, so7-3.3.1")
     add_family(p, required=False)
     p.add_argument("--partition")
     p.add_argument("--rank-from-partition", action="store_true")

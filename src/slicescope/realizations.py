@@ -11,13 +11,15 @@ against the combinatorial dimension formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import liealg
 from .exactlinalg import RatMatrix, Subspace, bracket, kernel
 from .liealg import AlgebraFamily, effective_centralizer, slice_dim
-from .partitions import Partition, hook_parameters
+from .partitions import (Partition, hook_parameters, is_valid_jordan_type,
+                         multiplicities)
 
 
 class RealizationError(ValueError):
@@ -37,7 +39,10 @@ class MatrixRealization:
     zf_basis: list[RatMatrix]
     q_basis: list[RatMatrix]
     gram: RatMatrix | None = None    # bilinear form cutting out g, None for gl
-    is_hook: bool = False
+
+    @property
+    def is_hook(self) -> bool:
+        return hook_parameters(self.jordan_type) is not None
 
     @property
     def dim_g(self) -> int:
@@ -134,14 +139,6 @@ def _sl2_on_jordan_block(m: int) -> tuple[RatMatrix, RatMatrix, RatMatrix]:
     return e, f, h
 
 
-def _embed(top: RatMatrix, n: int, offset: int = 0) -> RatMatrix:
-    out = RatMatrix.zeros(n, n)
-    for i in range(top.rows):
-        for j in range(top.cols):
-            out.data[offset + i][offset + j] = top.data[i][j]
-    return out
-
-
 def invariant_form_on_block(m: int) -> RatMatrix:
     """The unique triple-invariant nondegenerate form on the m-block.
 
@@ -182,154 +179,107 @@ def _standard_symplectic(k: int) -> RatMatrix:
     return m
 
 
-def _check_triple(e: RatMatrix, f: RatMatrix, h: RatMatrix) -> None:
+def _kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """Kronecker product a (x) b, with the index of a varying slowest."""
+    return RatMatrix([[x * y for x in arow for y in brow]
+                      for arow in a.data for brow in b.data])
+
+
+def _direct_sum(blocks: list[RatMatrix]) -> RatMatrix:
+    n = sum(b.rows for b in blocks)
+    out = RatMatrix.zeros(n, n)
+    offset = 0
+    for b in blocks:
+        for i, row in enumerate(b.data):
+            out.data[offset + i][offset:offset + b.cols] = row
+        offset += b.rows
+    return out
+
+
+def _preserves(x: RatMatrix, gram: RatMatrix) -> bool:
+    return (x.transpose() @ gram + gram @ x).is_zero()
+
+
+def classical_triple(family: AlgebraFamily, p: Partition) -> MatrixRealization:
+    """Realization of a nilpotent of any valid Jordan type in gl, sp or so.
+
+    The standard construction: for each part i of multiplicity d_i, in
+    decreasing order, the module is V_i (x) M_i with V_i the irreducible
+    i-dimensional sl2-module and M_i a d_i-dimensional multiplicity
+    space, laid out as d_i consecutive i-blocks.  The triple acts on V_i.
+    For sp and so the form is B_M (x) (invariant form on V_i), where B_M
+    is the identity when the symmetry of V_i (symmetric for odd i) matches
+    the ambient form and the standard symplectic form when it does not.
+    The symmetry algebra q is 1 (x) g(M_i, B_M) summed over the parts:
+    Sp(d_i) or SO(d_i) factors, or gl(d_i) for gl.  For gl the scalar
+    acts trivially, so 1 (x) E_11 of the largest part is dropped and q is
+    the traceless part of the rest.
+    """
+    n = p.n
+    label = f"{family.kind.lower()}{n}-{'.'.join(map(str, p.parts))}"
+    if family.kind not in ("GL", "Sp", "SO"):
+        raise RealizationError(f"no matrix realization for {family}")
+    if family.size != n:
+        raise RealizationError(f"{p} does not fit {family}")
+    if not is_valid_jordan_type(p, family.kind):
+        raise RealizationError(f"{p} is not a valid {family.kind} Jordan type")
+
+    # (part size, multiplicity, form on the multiplicity space or None)
+    blocks: list[tuple[int, int, RatMatrix | None]] = []
+    for i, d in multiplicities(p).items():
+        if family.kind == "GL":
+            form_m = None
+        elif (i % 2 == 1) == (family.kind == "SO"):
+            form_m = RatMatrix.identity(d)
+        else:
+            form_m = _standard_symplectic(d)
+        blocks.append((i, d, form_m))
+
+    sl2 = {i: _sl2_on_jordan_block(i) for i, _, _ in blocks}
+    e, f, h = (_direct_sum([_kron(RatMatrix.identity(d), sl2[i][t])
+                            for i, d, _ in blocks]) for t in range(3))
     if bracket(e, f) != h or bracket(h, e) != e.scale(2) or bracket(h, f) != f.scale(-2):
-        raise RealizationError("triple relations fail")
+        raise RealizationError(f"{label}: triple relations fail")
+    gram = None
+    if family.kind != "GL":
+        gram = _direct_sum([_kron(form_m, invariant_form_on_block(i))
+                            for i, _, form_m in blocks])
+        if not all(_preserves(x, gram) for x in (e, f, h)):
+            raise RealizationError(f"{label}: triple does not preserve the form")
+    g_basis = build_algebra(n, gram)
+    if len(g_basis) != family.dim:
+        raise RealizationError(f"{label}: algebra basis has the wrong dimension")
 
-
-def _finish(label: str, family: AlgebraFamily, p: Partition, n: int,
-            e: RatMatrix, f: RatMatrix, h: RatMatrix,
-            g_basis: list[RatMatrix], q_basis: list[RatMatrix],
-            gram: RatMatrix | None, is_hook: bool) -> MatrixRealization:
-    _check_triple(e, f, h)
-    zf_basis = _ad_kernel_in(g_basis, [f])
-    r = MatrixRealization(label=label, family=family, jordan_type=p,
-                          n_ambient=n, e=e, f=f, h=h, g_basis=g_basis,
-                          zf_basis=zf_basis, q_basis=q_basis, gram=gram,
-                          is_hook=is_hook)
-    expected_zf = slice_dim(family, p)
-    if r.dim_zf != expected_zf:
-        raise RealizationError(
-            f"{label}: dim z(f) = {r.dim_zf}, expected {expected_zf}")
-    expected_q = effective_centralizer(family, p).dim
-    if r.dim_q != expected_q:
-        raise RealizationError(
-            f"{label}: dim q = {r.dim_q}, expected {expected_q}")
+    q_basis = []
+    zero = [RatMatrix.zeros(i * d, i * d) for i, d, _ in blocks]
+    for t, (i, d, form_m) in enumerate(blocks):
+        factor = build_algebra(d, form_m)
+        if family.kind == "GL" and t == 0:
+            factor = factor[1:]
+        for x in factor:
+            q_basis.append(_direct_sum(zero[:t] + [_kron(x, RatMatrix.identity(i))]
+                                       + zero[t + 1:]))
+    if family.kind == "GL":
+        scalar = RatMatrix.identity(n)
+        q_basis = [c - scalar.scale(c.trace() / n) for c in q_basis]
     for c in q_basis:
         if not bracket(c, e).is_zero() or not bracket(c, f).is_zero():
             raise RealizationError(f"{label}: q element fails to centralize e, f")
-    return r
+        if gram is not None and not _preserves(c, gram):
+            raise RealizationError(f"{label}: q element does not preserve the form")
 
-
-def gl_triple(p: Partition) -> MatrixRealization:
-    """Block-diagonal triple through a nilpotent of any gl Jordan type."""
-    n = p.n
-    e = RatMatrix.zeros(n, n)
-    f = RatMatrix.zeros(n, n)
-    h = RatMatrix.zeros(n, n)
-    offset = 0
-    for part in p.parts:
-        eb, fb, hb = _sl2_on_jordan_block(part)
-        e = e + _embed(eb, n, offset)
-        f = f + _embed(fb, n, offset)
-        h = h + _embed(hb, n, offset)
-        offset += part
-    g_basis = build_algebra(n, None)
-    q_full = _ad_kernel_in(g_basis, [e, f])
-    # Effective symmetry algebra: quotient the trivially acting scalar,
-    # realized as the traceless part of the full centralizer.
-    cols = [[m.trace()] for m in q_full]
-    ker = kernel(RatMatrix(list(zip(*cols))))
-    q_eff = []
-    for coeffs in ker.basis:
-        acc = RatMatrix.zeros(n, n)
-        for c, m in zip(coeffs, q_full):
-            if c:
-                acc = acc + m.scale(c)
-        q_eff.append(acc)
-    family = liealg.gl(n)
-    return _finish(f"gl{n}-{'.'.join(map(str, p.parts))}", family, p, n,
-                   e, f, h, g_basis, q_eff, gram=None,
-                   is_hook=hook_parameters(p) is not None)
-
-
-def hook_triple(family: AlgebraFamily, p: Partition) -> MatrixRealization:
-    """Realization of a hook nilpotent (m, 1^k) in gl, sp or so.
-
-    The big part acts on an irreducible m-dimensional module U carrying
-    the unique invariant form; the k-dimensional complement W carries an
-    identity (orthogonal) or standard block (symplectic) form, and the
-    total form is the direct sum.
-    """
-    hook = hook_parameters(p)
-    if hook is None:
-        raise RealizationError(f"{p} is not a hook type")
-    if family.size != p.n:
-        raise RealizationError(f"{p} does not fit {family}")
-    m = p.parts[0]
-    k = len(p.parts) - 1
-    n = m + k
-    eb, fb, hb = _sl2_on_jordan_block(m)
-    e, f, h = (_embed(x, n) for x in (eb, fb, hb))
-
-    if family.kind == "GL":
-        g_basis = build_algebra(n, None)
-        q_basis = [_unit(n, m + a, m + b) for a in range(k) for b in range(k)]
-        return _finish(f"gl{n}-hook{k}", family, p, n, e, f, h,
-                       g_basis, q_basis, gram=None, is_hook=True)
-
-    if family.kind == "Sp":
-        if m % 2 or k % 2:
-            raise RealizationError(f"{p} has the wrong parity for Sp")
-        form_w = _standard_symplectic(k) if k else RatMatrix.zeros(0, 0)
-    elif family.kind == "SO":
-        if m % 2 == 0:
-            raise RealizationError(f"{p} has the wrong parity for SO")
-        form_w = RatMatrix.identity(k)
-    else:
-        raise RealizationError(f"no hook realization for {family}")
-
-    form_u = invariant_form_on_block(m)
-    gram = RatMatrix.zeros(n, n)
-    for i in range(m):
-        for j in range(m):
-            gram.data[i][j] = form_u.data[i][j]
-    for a in range(k):
-        for b in range(k):
-            gram.data[m + a][m + b] = form_w.data[a][b]
-    g_basis = build_algebra(n, gram)
-    if len(g_basis) != family.dim:
-        raise RealizationError("algebra basis has the wrong dimension")
-    for x in (e, f, h):
-        if not (x.transpose() @ gram + gram @ x).is_zero():
-            raise RealizationError("triple does not preserve the form")
-    q_basis = _ad_kernel_in(g_basis, [e, f])
-    kind = "sp" if family.kind == "Sp" else "so"
-    return _finish(f"{kind}{n}-hook{k}", family, p, n, e, f, h,
-                   g_basis, q_basis, gram=gram, is_hook=True)
-
-
-def sp6_33_triple() -> MatrixRealization:
-    """The explicit (3,3) triple in the rank-3 symplectic algebra.
-
-    e is a pair of 3x3 Jordan blocks arranged as diag(e', -e'^T) for the
-    split symplectic form [[0, I], [-I, 0]]; f = diag(f', -f'^T) with
-    f' = [[0,0,0],[2,0,0],[0,2,0]].
-    """
-    n = 6
-    ep = RatMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    fp = RatMatrix([[0, 0, 0], [2, 0, 0], [0, 2, 0]])
-    hp = RatMatrix([[2, 0, 0], [0, 0, 0], [0, 0, -2]])
-
-    def split(top: RatMatrix) -> RatMatrix:
-        out = RatMatrix.zeros(n, n)
-        for i in range(3):
-            for j in range(3):
-                out.data[i][j] = top.data[i][j]
-                out.data[3 + i][3 + j] = -top.data[j][i]
-        return out
-
-    e, f, h = split(ep), split(fp), split(hp)
-    gram = RatMatrix.zeros(n, n)
-    for i in range(3):
-        gram.data[i][3 + i] = Fraction(1)
-        gram.data[3 + i][i] = Fraction(-1)
-    g_basis = build_algebra(n, gram)
-    family = liealg.sp(6)
-    p = Partition((3, 3))
-    q_basis = _ad_kernel_in(g_basis, [e, f])
-    return _finish("sp6-33", family, p, n, e, f, h, g_basis, q_basis,
-                   gram=gram, is_hook=False)
+    zf_basis = _ad_kernel_in(g_basis, [f])
+    expected_zf = slice_dim(family, p)
+    if len(zf_basis) != expected_zf:
+        raise RealizationError(
+            f"{label}: dim z(f) = {len(zf_basis)}, expected {expected_zf}")
+    expected_q = effective_centralizer(family, p).dim
+    if len(q_basis) != expected_q:
+        raise RealizationError(
+            f"{label}: dim q = {len(q_basis)}, expected {expected_q}")
+    return MatrixRealization(label=label, family=family, jordan_type=p,
+                             n_ambient=n, e=e, f=f, h=h, g_basis=g_basis,
+                             zf_basis=zf_basis, q_basis=q_basis, gram=gram)
 
 
 def sp6_q_cartan() -> RatMatrix:
@@ -390,7 +340,7 @@ def hook_L_subspace(r: MatrixRealization) -> Subspace:
                 c = -form_w.data[a][b]
                 if c:
                     xi = xi + _unit(n, m - 1, m + b).scale(c)
-            if not (xi.transpose() @ r.gram + r.gram @ xi).is_zero():
+            if not _preserves(xi, r.gram):
                 raise RealizationError("L element leaves the algebra")
             mats.append(xi)
     for xi in mats:
@@ -405,31 +355,26 @@ def hook_L_subspace(r: MatrixRealization) -> Subspace:
     return sub
 
 
-def g2_realization() -> MatrixRealization | None:
-    """Matrix model for the exceptional 14-dimensional algebra case.
-
-    Not implemented; the scan of the shipped orbit table covers this case
-    combinatorially, so the matrix path is an optional extra.
-    """
-    return None
-
-
 def build_case(label: str) -> MatrixRealization:
-    """Build a realization from a case label like gl5-hook2 or sp6-33."""
-    import re
-    if label == "sp6-33":
-        return sp6_33_triple()
-    m_ = re.fullmatch(r"(gl|sp|so)(\d+)-hook(\d+)", label)
-    if m_:
-        kind, size, k = m_.group(1), int(m_.group(2)), int(m_.group(3))
+    """Build a realization from a case label.
+
+    Labels are glN-hookK / spN-hookK / soN-hookK for the hook (N-K, 1^K),
+    glN-a.b.c / spN-a.b.c / soN-a.b.c for a general Jordan type, and
+    sp6-33, an alias of sp6-3.3.  The realization keeps the given label.
+    """
+    m_ = re.fullmatch(r"(gl|sp|so)(\d+)-(?:hook(\d+)|(\d+(?:\.\d+)*))",
+                      "sp6-3.3" if label == "sp6-33" else label)
+    if m_ is None:
+        raise RealizationError(f"unknown case label: {label!r}")
+    kind, size = m_.group(1), int(m_.group(2))
+    if m_.group(3) is not None:
+        k = int(m_.group(3))
+        parts = (size - k,) + (1,) * k
+    else:
+        parts = tuple(int(x) for x in m_.group(4).split("."))
+    try:
         family = {"gl": liealg.gl, "sp": liealg.sp, "so": liealg.so}[kind](size)
-        p = Partition((size - k,) + (1,) * k)
-        return hook_triple(family, p)
-    m_ = re.fullmatch(r"gl(\d+)-([\d.]+)", label)
-    if m_:
-        parts = tuple(int(x) for x in m_.group(2).split("."))
         p = Partition(parts)
-        if p.n != int(m_.group(1)):
-            raise RealizationError(f"partition does not fit case {label!r}")
-        return gl_triple(p)
-    raise RealizationError(f"unknown case label: {label!r}")
+    except ValueError as exc:
+        raise RealizationError(f"case {label!r}: {exc}")
+    return replace(classical_triple(family, p), label=label)

@@ -83,7 +83,7 @@ def test_criterion_4_sp6_33_numbers():
     b = necessary_bound(o)
     assert b.lhs == 28 and b.rhs == 28 and b.slack == 0
     assert [(f.kind, f.size) for f in o.centralizer.factors] == [("Sp", 2)]
-    r = realizations.sp6_33_triple()
+    r = realizations.build_case("sp6-33")
     dims = realizations.weight_space_dims(r, realizations.sp6_q_cartan(),
                                           (-2, 0, 2))
     assert dims == {-2: 2, 0: 3, 2: 2}

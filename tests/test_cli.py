@@ -85,6 +85,18 @@ def test_verify_case(capsys):
     assert rec["inconclusive"] is False
 
 
+def test_verify_free_partition_sp_so(capsys):
+    code, out, _ = run(capsys, "verify", "--family", "so", "--size", "6",
+                       "--partition", "3,3")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["case"] == "so6-3.3"
+    assert rec["contained"] is True
+    code, _, err = run(capsys, "verify", "--case", "sp6-3.2.1")
+    assert code == 2
+    assert "usage error" in err
+
+
 def test_verify_bad_case_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--case", "zz9-hook1")
     assert code == 2
@@ -120,6 +132,9 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run(capsys, "check", "--family", "sp", "--partition",
                        "3,2,1", "--rank-from-partition")
     assert code == 2
+    for n_max in ("0", "-3"):
+        code, out, err = run(capsys, "sweep", "--family", "gl", "--n-max", n_max)
+        assert code == 2 and "usage error" in err and not out
 
 
 def test_missing_subcommand_is_an_argparse_error(capsys):

@@ -6,10 +6,9 @@ from slicescope.exactlinalg import RatMatrix, bracket
 from slicescope.liealg import effective_centralizer, gl, slice_dim, so, sp
 from slicescope.partitions import Partition
 from slicescope.realizations import (RealizationError, build_algebra,
-                                     build_case, gl_triple, hook_L_subspace,
-                                     hook_triple, invariant_form_on_block,
-                                     sp6_33_triple, sp6_q_cartan,
-                                     weight_space_dims)
+                                     build_case, classical_triple,
+                                     hook_L_subspace, invariant_form_on_block,
+                                     sp6_q_cartan, weight_space_dims)
 
 
 def _check_triple_relations(r):
@@ -48,8 +47,8 @@ def test_invariant_form_symmetry(m):
         assert form.transpose() == -form
 
 
-def test_gl_triple_general_type():
-    r = gl_triple(Partition((3, 2)))
+def test_classical_triple_general_gl_type():
+    r = classical_triple(gl(5), Partition((3, 2)))
     _check_triple_relations(r)
     assert r.dim_g == 25
     assert r.dim_zf == slice_dim(gl(5), Partition((3, 2))) == 9
@@ -77,23 +76,21 @@ def test_hook_dims_match_combinatorics():
     cases = [(gl(6), Partition((4, 1, 1))), (sp(8), Partition((4, 1, 1, 1, 1))),
              (so(9), Partition((5, 1, 1, 1, 1)))]
     for fam, p in cases:
-        r = hook_triple(fam, p)
+        r = classical_triple(fam, p)
         assert r.dim_g == fam.dim
         assert r.dim_zf == slice_dim(fam, p)
         assert r.dim_q == effective_centralizer(fam, p).dim
 
 
-def test_hook_triple_rejects_bad_input():
+def test_classical_triple_rejects_bad_input():
     with pytest.raises(RealizationError):
-        hook_triple(gl(5), Partition((3, 2)))
+        classical_triple(sp(6), Partition((3, 1, 1, 1)))   # odd big part for Sp
     with pytest.raises(RealizationError):
-        hook_triple(sp(6), Partition((3, 1, 1, 1)))   # odd big part for Sp
-    with pytest.raises(RealizationError):
-        hook_triple(so(6), Partition((4, 1, 1)))      # even big part for SO
+        classical_triple(so(6), Partition((4, 1, 1)))      # even big part for SO
 
 
 def test_sp6_33_realization():
-    r = sp6_33_triple()
+    r = build_case("sp6-33")
     _check_triple_relations(r)
     assert (r.dim_g, r.dim_zf, r.dim_q) == (21, 7, 3)
     gram = r.gram
@@ -103,14 +100,14 @@ def test_sp6_33_realization():
 
 
 def test_sp6_33_weight_spaces():
-    r = sp6_33_triple()
+    r = build_case("sp6-33")
     cartan = sp6_q_cartan()
     dims = weight_space_dims(r, cartan, (-2, 0, 2))
     assert dims == {-2: 2, 0: 3, 2: 2}
 
 
 def test_weight_space_dims_must_exhaust():
-    r = sp6_33_triple()
+    r = build_case("sp6-33")
     with pytest.raises(RealizationError):
         weight_space_dims(r, sp6_q_cartan(), (0,))
 
@@ -120,7 +117,7 @@ def test_hook_L_dimensions():
     assert hook_L_subspace(build_case("so7-hook2")).dim == 2
     assert hook_L_subspace(build_case("sp6-hook2")).dim == 2
     with pytest.raises(RealizationError):
-        hook_L_subspace(gl_triple(Partition((3, 2))))
+        hook_L_subspace(classical_triple(gl(5), Partition((3, 2))))
 
 
 def test_hook_L_inside_zf():
@@ -150,6 +147,12 @@ def test_build_case_labels():
         build_case("nonsense")
     with pytest.raises(RealizationError):
         build_case("gl5-3.3")   # partition does not sum to 5
+    assert build_case("sp6-33").jordan_type == Partition((3, 3))
+    assert build_case("sp6-33").label == "sp6-33"
+    with pytest.raises(RealizationError):
+        build_case("sp6-3.2.1")  # odd parts of odd multiplicity in Sp
+    with pytest.raises(RealizationError):
+        build_case("gl3-hook3")  # leaves no big part
 
 
 def test_debug_dict_is_json_serializable():

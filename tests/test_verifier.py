@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from slicescope.exactlinalg import RatMatrix
-from slicescope.realizations import build_case, gl_triple, sp6_33_triple
+from slicescope.liealg import gl
+from slicescope.realizations import build_case, classical_triple
 from slicescope.verifier import (SliceError, coisotropy_check, omega_gram,
                                  orbit_tangent, point_at_e,
                                  semisimplicity_probe, slice_point,
@@ -36,7 +37,7 @@ def test_omega_gram_rejects_offslice_points():
 def test_regular_orbit_rank_at_e():
     # Regular (2) in the 2x2 general linear case: omega at x = e already
     # has full rank dim g + slice dim = 4 + 2 = 6.
-    r = gl_triple(Partition((2,)))
+    r = classical_triple(gl(2), Partition((2,)))
     gram = omega_gram(r, point_at_e(r).x)
     assert gram.rows == 6
     assert gram.rank() == 6
@@ -57,7 +58,8 @@ def test_stabilizer_vanishes_generically():
 
 def test_coisotropy_positive_cases():
     # Expected orthogonal dimension is rk(g) + rk(q) in each case.
-    for label, perp in [("gl4-hook1", 5), ("sp4-hook2", 3), ("so7-hook2", 4)]:
+    for label, perp in [("gl4-hook1", 5), ("sp4-hook2", 3), ("so7-hook2", 4),
+                        ("sp4-2.2", 3), ("so5-2.2.1", 3), ("so6-3.3", 4)]:
         r = build_case(label)
         rep = coisotropy_check(r, seed=0)
         assert not rep.inconclusive
@@ -69,18 +71,21 @@ def test_coisotropy_positive_cases():
 
 
 def test_coisotropy_sp6_33():
-    rep = coisotropy_check(sp6_33_triple(), seed=0)
+    rep = coisotropy_check(build_case("sp6-33"), seed=0)
     assert (rep.dim_ambient, rep.omega_rank) == (28, 28)
     assert (rep.dim_W, rep.dim_W_perp) == (24, 4)
     assert rep.contained and not rep.inconclusive
 
 
 def test_coisotropy_negative_case():
-    # The (3,2) type in the rank-5 general linear algebra fails containment.
-    rep = coisotropy_check(build_case("gl5-3.2"), seed=0)
-    assert rep.omega_rank == rep.dim_ambient == 34
-    assert not rep.contained
-    assert rep.dim_intersection < rep.dim_W_perp
+    # Non-hyperspherical types fail containment: (3,2) in the rank-5
+    # general linear algebra, (3,3,1) in so(7) and (2,2,2) in sp(6).
+    for label, dim_ambient in [("gl5-3.2", 34), ("so7-3.3.1", 28),
+                               ("sp6-2.2.2", 30)]:
+        rep = coisotropy_check(build_case(label), seed=0)
+        assert rep.omega_rank == rep.dim_ambient == dim_ambient, label
+        assert not rep.contained, label
+        assert rep.dim_intersection < rep.dim_W_perp, label
 
 
 def test_report_serializes():
@@ -101,7 +106,7 @@ def test_semisimplicity_probe():
 
 
 def test_semisimplicity_probe_diagonalizable_with_repeats():
-    r = gl_triple(Partition((1, 1)))
+    r = classical_triple(gl(2), Partition((1, 1)))
     # The zero nilpotent: every slice point is the point itself; x = 0 is
     # semisimple (minimal polynomial t).
     assert semisimplicity_probe(r, point_at_e(r).x)
