@@ -52,9 +52,12 @@ def _family_from_args(args, n_from_partition: int | None = None) -> AlgebraFamil
         raise UsageError(f"invalid size {size}")
     maker = {"gl": liealg.gl, "sp": liealg.sp, "so": liealg.so}[kind]
     try:
-        return maker(size)
+        family = maker(size)
     except ValueError as exc:
         raise UsageError(str(exc))
+    if rank is not None and rank != family.rank:
+        raise UsageError(f"--rank {rank} conflicts with {family} (rank {family.rank})")
+    return family
 
 
 def _verdict_record(v: Verdict) -> dict:
@@ -154,6 +157,11 @@ def cmd_verify(args, out) -> int:
         if not args.family:
             raise UsageError("--partition needs --family")
         p = parse_partition(args.partition)
+        if args.size is None and args.rank is None:
+            args.rank_from_partition = True   # size the algebra from the partition
+        family = _family_from_args(args, n_from_partition=p.n)
+        if family.size != p.n:
+            raise UsageError(f"{p} does not fit {family}")
         cases = [f"{args.family}{p.n}-" + ".".join(str(x) for x in p.parts)]
     else:
         raise UsageError("verify needs --case or --family/--partition")

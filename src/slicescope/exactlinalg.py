@@ -1,45 +1,110 @@
-"""Exact rational dense linear algebra.
+"""Exact rational sparse linear algebra.
 
-Everything here runs over ``fractions.Fraction``, so rank and kernel
-results are exact: there is no tolerance anywhere in this module, and
-downstream verdicts that hinge on a rank computation are certificate
-grade.  Matrices are dense lists of lists; the working sizes in this
-project stay below a few hundred rows, where density is the simplest
-correct choice.
+Everything here is exact arithmetic over the rationals, so rank and
+kernel results carry no tolerance, and downstream verdicts that hinge
+on a rank computation are certificate grade.  The matrices of this
+project are mostly zero with small integer entries, so a matrix keeps
+only its nonzero entries: one dict per row, column -> value.  An entry
+is a Python ``int``, or a ``fractions.Fraction`` whose denominator is
+not 1; every operation keeps that form, and every division goes through
+``Fraction``.  Products, sums, traces and eliminations touch only the
+nonzero entries.
+
+Vectors (flattened matrices, subspace bases, kernel bases) are dense
+tuples of the same entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Iterable, Mapping, Sequence
 
-Vector = tuple[Fraction, ...]
+Entry = int | Fraction
+Vector = tuple[Entry, ...]
+Row = dict[int, Entry]
 
 
-def _frac_rows(data) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in data]
+def _entry(x) -> Entry:
+    """x as an exact entry: an int, or a Fraction that is not an integer."""
+    if x.__class__ is int:
+        return x
+    if x.__class__ is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _clean(acc: Row) -> Row:
+    """acc without its zeros, integral Fractions turned into ints."""
+    return {j: (x if x.__class__ is int or x.denominator != 1 else x.numerator)
+            for j, x in acc.items() if x}
+
+
+def _axpy(v: Row, a: Entry, w: Row) -> None:
+    """v += a * w in place, keeping v free of zeros."""
+    for j, x in w.items():
+        y = v.get(j, 0) + a * x
+        if y:
+            v[j] = y if y.__class__ is int or y.denominator != 1 else y.numerator
+        else:
+            del v[j]
+
+
+def _sparse(vec: Sequence) -> Row:
+    """The nonzero entries of a dense vector, by index."""
+    out = {}
+    for j, x in enumerate(vec):
+        if x:
+            x = _entry(x)
+            if x:
+                out[j] = x
+    return out
 
 
 class RatMatrix:
-    """A rows x cols matrix with exact rational entries."""
+    """A rows x cols matrix with exact rational entries, stored sparsely.
 
-    __slots__ = ("rows", "cols", "data")
+    ``entries[i]`` maps column -> nonzero entry of row i.  Matrices are
+    treated as immutable: every operation returns a new matrix.
+    """
+
+    __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, data: Iterable[Iterable]):
-        self.data = _frac_rows(data)
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else 0
-        for row in self.data:
+        dense = [list(row) for row in data]
+        self.rows = len(dense)
+        self.cols = len(dense[0]) if dense else 0
+        for row in dense:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
+        self.entries: list[Row] = [_sparse(row) for row in dense]
+
+    @classmethod
+    def _wrap(cls, entries: list[Row], rows: int, cols: int) -> "RatMatrix":
+        m = object.__new__(cls)
+        m.entries, m.rows, m.cols = entries, rows, cols
+        return m
+
+    @classmethod
+    def from_entries(cls, rows: int, cols: int,
+                     entries: Mapping[tuple[int, int], object]) -> "RatMatrix":
+        """The matrix with the given (row, column) -> value entries, else zero."""
+        out: list[Row] = [{} for _ in range(rows)]
+        for (i, j), x in entries.items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
+            x = _entry(x)
+            if x:
+                out[i][j] = x
+        return cls._wrap(out, rows, cols)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls([[0] * cols for _ in range(rows)])
+        return cls._wrap([{} for _ in range(rows)], rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._wrap([{i: 1} for i in range(n)], n, n)
 
     @classmethod
     def from_flat(cls, vec: Sequence, rows: int, cols: int) -> "RatMatrix":
@@ -47,53 +112,87 @@ class RatMatrix:
             raise ValueError("length mismatch")
         return cls([vec[i * cols:(i + 1) * cols] for i in range(rows)])
 
+    @property
+    def data(self) -> list[list[Entry]]:
+        """A dense copy of the entries; writing to it does not change the matrix."""
+        cols = self.cols
+        return [[row.get(j, 0) for j in range(cols)] for row in self.entries]
+
+    def __getitem__(self, ij: tuple[int, int]) -> Entry:
+        i, j = ij
+        return self.entries[i].get(j, 0)
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, RatMatrix) and self.data == other.data
+        return (isinstance(other, RatMatrix) and self.rows == other.rows
+                and self.cols == other.cols and self.entries == other.entries)
 
     def __hash__(self):
-        return hash(self.flatten())
+        return hash((self.rows, self.cols, frozenset(
+            (i, j, x) for i, row in enumerate(self.entries) for j, x in row.items())))
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        self._same_shape(other)
-        return RatMatrix([[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)])
+        return self._plus(1, other)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
+        return self._plus(-1, other)
+
+    def _plus(self, c: int, other: "RatMatrix") -> "RatMatrix":
+        """self + c * other."""
         self._same_shape(other)
-        return RatMatrix([[a - b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)])
+        out = []
+        for r1, r2 in zip(self.entries, other.entries):
+            acc = dict(r1)
+            _axpy(acc, c, r2)
+            out.append(acc)
+        return RatMatrix._wrap(out, self.rows, self.cols)
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix([[-a for a in row] for row in self.data])
+        return RatMatrix._wrap([{j: -x for j, x in row.items()} for row in self.entries],
+                               self.rows, self.cols)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        bt = list(zip(*other.data))
-        return RatMatrix([[sum(a * b for a, b in zip(row, col)) for col in bt]
-                          for row in self.data])
+        b = other.entries
+        out = []
+        for arow in self.entries:
+            acc: Row = {}
+            for k, a in arow.items():
+                for j, x in b[k].items():
+                    acc[j] = acc.get(j, 0) + a * x
+            out.append(_clean(acc))
+        return RatMatrix._wrap(out, self.rows, other.cols)
 
     def scale(self, c) -> "RatMatrix":
-        c = Fraction(c)
-        return RatMatrix([[c * a for a in row] for row in self.data])
+        c = _entry(c)
+        return RatMatrix._wrap([_clean({j: c * x for j, x in row.items()})
+                                for row in self.entries], self.rows, self.cols)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(list(zip(*self.data)))
+        out: list[Row] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.entries):
+            for j, x in row.items():
+                out[j][i] = x
+        return RatMatrix._wrap(out, self.cols, self.rows)
 
-    def trace(self) -> Fraction:
+    def trace(self) -> Entry:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
+        return _entry(sum(row.get(i, 0) for i, row in enumerate(self.entries)))
 
     def flatten(self) -> Vector:
-        return tuple(x for row in self.data for x in row)
+        cols = self.cols
+        out: list[Entry] = [0] * (self.rows * cols)
+        for i, row in enumerate(self.entries):
+            for j, x in row.items():
+                out[i * cols + j] = x
+        return tuple(out)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(self.entries)
 
     def rank(self) -> int:
-        _, pivots = _rref([row[:] for row in self.data])
-        return len(pivots)
+        return len(_echelon(self.entries))
 
     def _same_shape(self, other: "RatMatrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -103,137 +202,201 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols})"
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns).
+def _integer_row(row: Row) -> dict[int, int]:
+    """A copy of row scaled by the common denominator of its entries."""
+    dens = [x.denominator for x in row.values() if x.__class__ is not int]
+    if not dens:
+        return dict(row)
+    m = lcm(*dens)
+    return {j: x * m if x.__class__ is int else x.numerator * (m // x.denominator)
+            for j, x in row.items()}
 
-    The pivot in each column is chosen to be a unit entry when one is
-    available (smallest numerator and denominator otherwise), which keeps
-    intermediate fractions small without changing the exact result.
+
+def _clear(v: dict[int, int], p: int, w: dict[int, int]) -> None:
+    """v := w[p] * v - v[p] * w, divided by its content: column p of v cleared."""
+    a, b = w[p], v[p]
+    if a != 1:
+        for j in v:
+            v[j] *= a
+    for j, x in w.items():
+        y = v.get(j, 0) - b * x
+        if y:
+            v[j] = y
+        else:
+            del v[j]
+    if v:
+        g = gcd(*v.values())
+        if g != 1:
+            for j in v:
+                v[j] //= g
+
+
+def _echelon(rows: Iterable[Row]) -> dict[int, dict[int, int]]:
+    """Fraction-free Gauss-Jordan elimination of sparse rows.
+
+    Returns pivot column -> integer row, each row zero at every other
+    pivot column and with its leftmost entry at its pivot; the input
+    rows are not modified.  Rows are added one at a time: a new row is
+    cleared at the pivot columns it meets (clearing one never refills
+    another), its leftmost remaining entry becomes a pivot, and that
+    column is cleared from the earlier pivot rows.  Only integers are
+    combined, and every combination is divided by its content, so no
+    Fraction is built and entries stay small.
     """
-    if not rows:
-        return rows, []
-    n_rows, n_cols = len(rows), len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        pr = None
-        best = None
-        for i in range(r, n_rows):
-            x = rows[i][c]
-            if x == 0:
-                continue
-            size = abs(x.numerator).bit_length() + x.denominator.bit_length()
-            if best is None or size < best:
-                pr, best = i, size
-                if size <= 2:   # a unit entry; no better pivot exists
-                    break
-        if pr is None:
+    reduced: dict[int, dict[int, int]] = {}
+    for row in rows:
+        v = _integer_row(row)
+        for p in [c for c in v if c in reduced]:
+            _clear(v, p, reduced[p])
+        if not v:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        pivot = prow[c]
-        if pivot != 1:
-            inv = 1 / pivot
-            rows[r] = prow = [inv * x for x in prow]
-        support = [j for j in range(c, n_cols) if prow[j]]
-        for i in range(n_rows):
-            if i == r:
-                continue
-            row = rows[i]
-            f = row[c]
-            if f == 0:
-                continue
-            for j in support:
-                row[j] = row[j] - f * prow[j]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
+        c = min(v)
+        for prow in reduced.values():
+            if c in prow:
+                _clear(prow, c, v)
+        reduced[c] = v
+    return reduced
+
+
+def _rref(rows: Iterable[Row]) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form of sparse rows; returns (rows, pivot columns).
+
+    Each row of ``_echelon`` divided by its pivot entry; sorted by pivot,
+    these are the rows of the unique reduced row echelon form.
+    """
+    reduced = _echelon(rows)
+    pivots = sorted(reduced)
+    out = []
+    for p in pivots:
+        row = reduced[p]
+        d = row[p]
+        out.append(row if d == 1 else
+                   {j: x // d if x % d == 0 else Fraction(x, d) for j, x in row.items()})
+    return out, pivots
 
 
 def rank_of_vectors(vecs: Sequence[Sequence]) -> int:
-    if not vecs:
-        return 0
-    _, pivots = _rref(_frac_rows(vecs))
-    return len(pivots)
+    return len(_echelon(_sparse(v) for v in vecs))
 
 
 class Subspace:
     """A subspace of Q^ambient_dim, held as an independent basis.
 
-    The basis is stored both as given and in reduced row echelon form;
-    the reduced form makes membership and containment pure rank checks.
+    With ``check=False`` the caller vouches that the basis is
+    independent.  The reduced row echelon form of the basis, which makes
+    membership and containment reductions, is built on the first query
+    and kept, together with the coordinates of each reduced row in the
+    basis.
     """
 
     def __init__(self, ambient_dim: int, basis: Iterable[Sequence], check: bool = True):
         self.ambient_dim = ambient_dim
-        self.basis: list[Vector] = [tuple(Fraction(x) for x in v) for v in basis]
+        self.basis: list[Vector] = [tuple(_entry(x) for x in v) for v in basis]
         for v in self.basis:
             if len(v) != ambient_dim:
                 raise ValueError("basis vector of wrong length")
-        reduced, pivots = _rref(_frac_rows(self.basis))
-        if check and len(pivots) != len(self.basis):
+        # pivot column -> (reduced row, its coordinates in the basis)
+        self._pivot_cache: dict[int, tuple[Row, Row]] | None = None
+        if check and len(self._pivot_rows()) != len(self.basis):
             raise ValueError("basis vectors are dependent")
-        self._reduced = [tuple(row) for row in reduced[:len(pivots)]]
-        self._pivots = pivots
 
     @classmethod
     def span(cls, ambient_dim: int, vecs: Iterable[Sequence]) -> "Subspace":
         """Subspace spanned by possibly dependent vectors."""
-        reduced, pivots = _rref(_frac_rows(vecs))
-        return cls(ambient_dim, [tuple(r) for r in reduced[:len(pivots)]], check=False)
+        rows, pivots = _rref(_sparse(v) for v in vecs)
+        sub = cls(ambient_dim, [_dense(r, ambient_dim) for r in rows], check=False)
+        sub._pivot_cache = {p: (r, {t: 1}) for t, (p, r) in enumerate(zip(pivots, rows))}
+        return sub
+
+    def _pivot_rows(self) -> dict[int, tuple[Row, Row]]:
+        if self._pivot_cache is None:
+            amb = self.ambient_dim
+            augmented = []
+            for t, v in enumerate(self.basis):
+                row = _sparse(v)
+                row[amb + t] = 1
+                augmented.append(row)
+            rows, pivots = _rref(augmented)
+            # A pivot at or past amb marks a dependent basis; those rows
+            # carry no reduced vector.
+            self._pivot_cache = {
+                p: ({c: x for c, x in r.items() if c < amb},
+                    {c - amb: x for c, x in r.items() if c >= amb})
+                for p, r in zip(pivots, rows) if p < amb}
+        return self._pivot_cache
+
+    def _residual(self, v: Row) -> Row:
+        """What is left of v after reduction by the pivot rows; empty iff v is inside."""
+        echelon = self._pivot_rows()
+        v = dict(v)
+        for p in [c for c in v if c in echelon]:
+            _axpy(v, -v[p], echelon[p][0])
+        return v
+
+    def _vector(self, vec: Sequence) -> Row:
+        if len(vec) != self.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        return _sparse(vec)
 
     @property
     def dim(self) -> int:
-        return len(self._reduced)
+        return len(self.basis)
 
     def member(self, vec: Sequence) -> bool:
-        v = [Fraction(x) for x in vec]
-        if len(v) != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return rank_of_vectors(list(self._reduced) + [v]) == self.dim
+        return not self._residual(self._vector(vec))
 
     def contains(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        stacked = list(self._reduced) + list(other._reduced)
-        return rank_of_vectors(stacked) == self.dim
+        return all(not self._residual(_sparse(v)) for v in other.basis)
 
     def intersection_dim(self, other: "Subspace") -> int:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        joint = rank_of_vectors(list(self._reduced) + list(other._reduced))
+        stacked = [r for r, _ in self._pivot_rows().values()]
+        joint = len(_echelon(stacked + [_sparse(v) for v in other.basis]))
         return self.dim + other.dim - joint
 
-    def coords(self, vec: Sequence) -> list[Fraction] | None:
+    def coords(self, vec: Sequence) -> list[Entry] | None:
         """Coefficients of vec in the stored (original) basis, or None."""
-        v = [Fraction(x) for x in vec]
-        if not self.basis:
-            return [] if all(x == 0 for x in v) else None
-        aug = [[self.basis[j][i] for j in range(len(self.basis))] + [v[i]]
-               for i in range(self.ambient_dim)]
-        rows, pivots = _rref(aug)
-        k = len(self.basis)
-        if k in pivots:
-            return None  # inconsistent: vec outside the span
-        sol = [Fraction(0)] * k
-        for r, c in enumerate(pivots):
-            sol[c] = rows[r][k]
-        return sol
+        v = self._vector(vec)
+        if self._residual(v):
+            return None  # vec outside the span
+        # Reduced rows are 1 at their own pivot and 0 at the others, so vec
+        # is the sum of vec[p] times the reduced row with pivot p.
+        sol: Row = {}
+        for p, (_, coords) in self._pivot_rows().items():
+            c = v.get(p)
+            if c:
+                _axpy(sol, c, coords)
+        return [sol.get(t, 0) for t in range(len(self.basis))]
+
+
+def _dense(row: Row, n: int) -> Vector:
+    out: list[Entry] = [0] * n
+    for j, x in row.items():
+        out[j] = x
+    return tuple(out)
 
 
 def kernel(a: RatMatrix) -> Subspace:
-    """Basis of the right null space of a; dim = cols - rank, exactly."""
-    rows, pivots = _rref([row[:] for row in a.data])
+    """Basis of the right null space of a; dim = cols - rank, exactly.
+
+    The basis is read off the reduced row echelon form: one vector per
+    free column, 1 there, 0 at the other free columns.
+    """
+    rows, pivots = _rref(a.entries)
     pivot_set = set(pivots)
-    free = [c for c in range(a.cols) if c not in pivot_set]
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * a.cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
+    for fc in range(a.cols):
+        if fc in pivot_set:
+            continue
+        v: list[Entry] = [0] * a.cols
+        v[fc] = 1
+        for row, pc in zip(rows, pivots):
+            x = row.get(fc)
+            if x:
+                v[pc] = -x
         basis.append(tuple(v))
     return Subspace(a.cols, basis, check=False)
 
@@ -244,9 +407,16 @@ def bracket(x: RatMatrix, y: RatMatrix) -> RatMatrix:
         raise ValueError("bracket needs square matrices of equal size")
     return x @ y - y @ x
 
-def trace_form(x: RatMatrix, y: RatMatrix) -> Fraction:
+
+def trace_form(x: RatMatrix, y: RatMatrix) -> Entry:
     """The invariant pairing tr(xy) on a matrix Lie algebra."""
     if x.rows != x.cols or y.rows != y.cols or x.rows != y.rows:
         raise ValueError("trace_form needs square matrices of equal size")
-    return sum((sum(a * b for a, b in zip(x.data[i], col))
-                for i, col in enumerate(zip(*y.data))), Fraction(0))
+    yrows = y.entries
+    total: Entry = 0
+    for i, xrow in enumerate(x.entries):
+        for k, a in xrow.items():
+            b = yrows[k].get(i)
+            if b:
+                total += a * b
+    return _entry(total)

@@ -179,9 +179,11 @@ def slice_dim(family: AlgebraFamily, p: Partition) -> int:
         return sq
     alternating = sum((-1) ** i * m for i, m in enumerate(mu.parts))
     odd = odd_part_count(p)
-    assert alternating == odd, "dual alternating sum must count odd parts"
+    if alternating != odd:
+        raise AssertionError("dual alternating sum must count odd parts")
     num = sq + odd if family.kind == "Sp" else sq - odd
-    assert num % 2 == 0
+    if num % 2:
+        raise AssertionError(f"odd numerator {num} in the slice dimension")
     return num // 2
 
 

@@ -12,7 +12,7 @@ against the combinatorial dimension formulas.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import liealg
@@ -39,6 +39,7 @@ class MatrixRealization:
     zf_basis: list[RatMatrix]
     q_basis: list[RatMatrix]
     gram: RatMatrix | None = None    # bilinear form cutting out g, None for gl
+    _zf: Subspace | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def is_hook(self) -> bool:
@@ -57,8 +58,11 @@ class MatrixRealization:
         return len(self.q_basis)
 
     def zf_subspace(self) -> Subspace:
-        return Subspace(self.n_ambient ** 2,
-                        [m.flatten() for m in self.zf_basis], check=False)
+        """z(f) as a subspace of the flattened matrix space, built once."""
+        if self._zf is None:
+            self._zf = Subspace(self.n_ambient ** 2,
+                                [m.flatten() for m in self.zf_basis], check=False)
+        return self._zf
 
     def to_debug_dict(self) -> dict:
         def dump(m: RatMatrix):
@@ -77,9 +81,7 @@ class MatrixRealization:
 
 
 def _unit(n: int, i: int, j: int) -> RatMatrix:
-    m = [[0] * n for _ in range(n)]
-    m[i][j] = 1
-    return RatMatrix(m)
+    return RatMatrix.from_entries(n, n, {(i, j): 1})
 
 
 def build_algebra(n: int, gram: RatMatrix | None) -> list[RatMatrix]:
@@ -99,8 +101,7 @@ def build_algebra(n: int, gram: RatMatrix | None) -> list[RatMatrix]:
         for j in range(n):
             x = _unit(n, i, j)
             cols.append((x.transpose() @ gram + gram @ x).flatten())
-    constraint = RatMatrix(list(zip(*cols)))
-    ker = kernel(constraint)
+    ker = kernel(RatMatrix(cols).transpose())
     return [RatMatrix.from_flat(v, n, n) for v in ker.basis]
 
 
@@ -109,11 +110,11 @@ def _ad_kernel_in(g_basis: list[RatMatrix], ops: list[RatMatrix]) -> list[RatMat
     n = g_basis[0].rows
     cols = []
     for b in g_basis:
-        col: list[Fraction] = []
+        col = []
         for op in ops:
             col.extend(bracket(op, b).flatten())
         cols.append(col)
-    ker = kernel(RatMatrix(list(zip(*cols))))
+    ker = kernel(RatMatrix(cols).transpose())
     out = []
     for coeffs in ker.basis:
         acc = RatMatrix.zeros(n, n)
@@ -130,41 +131,25 @@ def _sl2_on_jordan_block(m: int) -> tuple[RatMatrix, RatMatrix, RatMatrix]:
     e is the shift (Jordan block), h is diagonal with weights m+1-2i on
     the i-th basis vector, and f carries the coefficients i(m-i).
     """
-    e = RatMatrix([[1 if j == i + 1 else 0 for j in range(m)] for i in range(m)])
-    h = RatMatrix([[m + 1 - 2 * (i + 1) if i == j else 0 for j in range(m)]
-                   for i in range(m)])
-    f = RatMatrix.zeros(m, m)
-    for i in range(1, m):
-        f.data[i][i - 1] = Fraction(i * (m - i))
+    e = RatMatrix.from_entries(m, m, {(i, i + 1): 1 for i in range(m - 1)})
+    h = RatMatrix.from_entries(m, m, {(i, i): m - 1 - 2 * i for i in range(m)})
+    f = RatMatrix.from_entries(m, m, {(i, i - 1): i * (m - i) for i in range(1, m)})
     return e, f, h
 
 
 def invariant_form_on_block(m: int) -> RatMatrix:
     """The unique triple-invariant nondegenerate form on the m-block.
 
-    Solved as the kernel of the invariance constraints, normalized so the
-    (1, m) entry is 1.  Symmetric for odd m, antisymmetric for even m.
+    Unique up to scale; normalized so the (1, m) entry is 1, it is the
+    antidiagonal form B[i][m-1-i] = (-1)^i (0-indexed).  Symmetric for
+    odd m, antisymmetric for even m.
     """
-    e, f, h = _sl2_on_jordan_block(m)
-    cols = []
-    for i in range(m):
-        for j in range(m):
-            b = _unit(m, i, j)
-            col: list[Fraction] = []
-            for x in (e, f, h):
-                col.extend((x.transpose() @ b + b @ x).flatten())
-            cols.append(col)
-    ker = kernel(RatMatrix(list(zip(*cols))))
-    if ker.dim != 1:
-        raise RealizationError(f"invariant form on the {m}-block is not unique")
-    form = RatMatrix.from_flat(ker.basis[0], m, m)
-    pivot = form.data[0][m - 1]
-    if pivot == 0:
-        raise RealizationError("invariant form vanishes at (1, m)")
-    form = form.scale(1 / pivot)
+    form = RatMatrix.from_entries(m, m, {(i, m - 1 - i): (-1) ** i for i in range(m)})
     sym = form.transpose() == form
     if sym != (m % 2 == 1):
         raise RealizationError("invariant form has the wrong symmetry")
+    if not all(_preserves(x, form) for x in _sl2_on_jordan_block(m)):
+        raise RealizationError(f"the {m}-block triple does not preserve its form")
     return form
 
 
@@ -172,28 +157,34 @@ def _standard_symplectic(k: int) -> RatMatrix:
     if k % 2:
         raise RealizationError("symplectic complement needs even dimension")
     half = k // 2
-    m = RatMatrix.zeros(k, k)
+    entries = {}
     for i in range(half):
-        m.data[i][half + i] = Fraction(1)
-        m.data[half + i][i] = Fraction(-1)
-    return m
+        entries[i, half + i] = 1
+        entries[half + i, i] = -1
+    return RatMatrix.from_entries(k, k, entries)
 
 
 def _kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     """Kronecker product a (x) b, with the index of a varying slowest."""
-    return RatMatrix([[x * y for x in arow for y in brow]
-                      for arow in a.data for brow in b.data])
+    entries = {}
+    for ia, arow in enumerate(a.entries):
+        for ja, x in arow.items():
+            for ib, brow in enumerate(b.entries):
+                for jb, y in brow.items():
+                    entries[ia * b.rows + ib, ja * b.cols + jb] = x * y
+    return RatMatrix.from_entries(a.rows * b.rows, a.cols * b.cols, entries)
 
 
 def _direct_sum(blocks: list[RatMatrix]) -> RatMatrix:
     n = sum(b.rows for b in blocks)
-    out = RatMatrix.zeros(n, n)
+    entries = {}
     offset = 0
     for b in blocks:
-        for i, row in enumerate(b.data):
-            out.data[offset + i][offset:offset + b.cols] = row
+        for i, row in enumerate(b.entries):
+            for j, x in row.items():
+                entries[offset + i, offset + j] = x
         offset += b.rows
-    return out
+    return RatMatrix.from_entries(n, n, entries)
 
 
 def _preserves(x: RatMatrix, gram: RatMatrix) -> bool:
@@ -261,7 +252,7 @@ def classical_triple(family: AlgebraFamily, p: Partition) -> MatrixRealization:
                                        + zero[t + 1:]))
     if family.kind == "GL":
         scalar = RatMatrix.identity(n)
-        q_basis = [c - scalar.scale(c.trace() / n) for c in q_basis]
+        q_basis = [c - scalar.scale(Fraction(c.trace(), n)) for c in q_basis]
     for c in q_basis:
         if not bracket(c, e).is_zero() or not bracket(c, f).is_zero():
             raise RealizationError(f"{label}: q element fails to centralize e, f")
@@ -332,12 +323,10 @@ def hook_L_subspace(r: MatrixRealization) -> Subspace:
         for b in range(k):
             mats.append(_unit(n, m - 1, m + b))  # w_b -> u_m
     else:
-        form_w = RatMatrix([[r.gram.data[m + a][m + b] for b in range(k)]
-                            for a in range(k)])
         for a in range(k):
             xi = _unit(n, m + a, 0)
             for b in range(k):
-                c = -form_w.data[a][b]
+                c = -r.gram[m + a, m + b]
                 if c:
                     xi = xi + _unit(n, m - 1, m + b).scale(c)
             if not _preserves(xi, r.gram):

@@ -84,8 +84,8 @@ class NoDualError(ValueError):
 
 
 def _hook_dual(family: AlgebraFamily, p: Partition) -> DualAssignment:
-    hook = hook_parameters(p)
-    assert hook is not None
+    if hook_parameters(p) is None:
+        raise AssertionError(f"{p} is not a hook")
     k = len(p.parts) - 1   # number of trailing ones
     if family.kind == "GL":
         sd = SuperAlgebra("gl", family.size, k)
@@ -136,7 +136,8 @@ def s_dual(v: Verdict) -> DualAssignment:
         return DualAssignment("SL2^ acting on {0} x SL2^ x SL2^ acting on T*SL2^",
                               provenance="standard")
     image = iso_image(family.kind, p)
-    assert image is not None
+    if image is None:
+        raise AssertionError(f"{p} in {family} has no hook image under an isomorphism")
     target, target_type = image
     return _hook_dual(target, target_type)
 

@@ -32,12 +32,12 @@ class SlicePoint:
     realization: MatrixRealization
     x: RatMatrix
     seed: int
-    coefficients: tuple[Fraction, ...]
+    coefficients: tuple[int, ...]
 
 
 def slice_point(r: MatrixRealization, seed: int) -> SlicePoint:
     rng = random.Random(seed)
-    coeffs = tuple(Fraction(rng.randint(-_BOX, _BOX)) for _ in r.zf_basis)
+    coeffs = tuple(rng.randint(-_BOX, _BOX) for _ in r.zf_basis)
     x = r.e
     for c, b in zip(coeffs, r.zf_basis):
         if c:
@@ -46,7 +46,7 @@ def slice_point(r: MatrixRealization, seed: int) -> SlicePoint:
 
 
 def point_at_e(r: MatrixRealization) -> SlicePoint:
-    return SlicePoint(r, r.e, seed=-1, coefficients=tuple(Fraction(0) for _ in r.zf_basis))
+    return SlicePoint(r, r.e, seed=-1, coefficients=(0,) * r.dim_zf)
 
 
 def _check_in_slice(r: MatrixRealization, x: RatMatrix) -> None:
@@ -63,22 +63,23 @@ def omega_gram(r: MatrixRealization, x: RatMatrix) -> RatMatrix:
     """
     _check_in_slice(r, x)
     dg, dz = r.dim_g, r.dim_zf
-    n = dg + dz
-    gram = [[Fraction(0)] * n for _ in range(n)]
+    gram = {}
     # Invariance of the trace pairing: (x, [b_i, b_j]) = ([x, b_i], b_j),
     # so one bracket per basis element replaces one per basis pair.
     ad_x = [bracket(x, bi) for bi in r.g_basis]
     for i in range(dg):
         for j in range(i + 1, dg):
             val = trace_form(ad_x[i], r.g_basis[j])
-            gram[i][j] = val
-            gram[j][i] = -val
+            if val:
+                gram[i, j] = val
+                gram[j, i] = -val
         bi = r.g_basis[i]
         for j in range(dz):
             val = -trace_form(r.zf_basis[j], bi)
-            gram[i][dg + j] = val
-            gram[dg + j][i] = -val
-    return RatMatrix(gram)
+            if val:
+                gram[i, dg + j] = val
+                gram[dg + j, i] = -val
+    return RatMatrix.from_entries(dg + dz, dg + dz, gram)
 
 
 def orbit_tangent(r: MatrixRealization, x: RatMatrix) -> Subspace:
@@ -94,15 +95,15 @@ def orbit_tangent(r: MatrixRealization, x: RatMatrix) -> Subspace:
     zf = r.zf_subspace()
     gens = []
     for i in range(dg):
-        v = [Fraction(0)] * n
-        v[i] = Fraction(1)
+        v = [0] * n
+        v[i] = 1
         gens.append(v)
     for c in r.q_basis:
         img = bracket(c, x)
         coords = zf.coords(img.flatten())
         if coords is None:
             raise SliceError("q direction leaves z(f): broken realization")
-        gens.append([Fraction(0)] * dg + list(coords))
+        gens.append([0] * dg + coords)
     return Subspace.span(n, gens)
 
 
@@ -112,7 +113,7 @@ def stabilizer_dim(r: MatrixRealization, x: RatMatrix) -> int:
     if not r.q_basis:
         return 0
     cols = [bracket(c, x).flatten() for c in r.q_basis]
-    return kernel(RatMatrix(list(zip(*cols)))).dim
+    return kernel(RatMatrix(cols).transpose()).dim
 
 
 @dataclass(frozen=True)
@@ -140,30 +141,13 @@ class CoisotropyReport:
         }
 
 
-def _pairing_rows(basis, gram: RatMatrix) -> RatMatrix:
-    """Rows (v . gram) for each basis vector v, exploiting sparsity of v."""
-    n = gram.cols
-    out = []
-    for v in basis:
-        acc = [Fraction(0)] * n
-        for j, c in enumerate(v):
-            if c:
-                grow = gram.data[j]
-                for t in range(n):
-                    g = grow[t]
-                    if g:
-                        acc[t] += c * g
-        out.append(acc)
-    return RatMatrix(out)
-
-
 def _check_at(r: MatrixRealization, seed: int) -> CoisotropyReport:
     pt = slice_point(r, seed)
     gram = omega_gram(r, pt.x)
     w = orbit_tangent(r, pt.x)
     # v is omega-orthogonal to W iff (basis of W) . gram . v = 0.
     if w.dim:
-        w_perp = kernel(_pairing_rows(w.basis, gram))
+        w_perp = kernel(RatMatrix(w.basis) @ gram)
     else:
         w_perp = Subspace.span(gram.rows, [])
     contained = w.contains(w_perp)
@@ -189,14 +173,13 @@ def coisotropy_check(r: MatrixRealization, seed: int) -> CoisotropyReport:
     (omega rank, then orbit dimension) is kept.  If the symplectic form
     never reaches full rank the report is flagged inconclusive.
     """
-    best: CoisotropyReport | None = None
-    for attempt in range(_MAX_ATTEMPTS):
-        rep = _check_at(r, seed + attempt)
-        if best is None or (rep.omega_rank, rep.dim_W) > (best.omega_rank, best.dim_W):
-            best = rep
+    best = _check_at(r, seed)
+    for attempt in range(1, _MAX_ATTEMPTS):
         if best.omega_rank == best.dim_ambient and best.stabilizer_dim == 0:
             break
-    assert best is not None
+        rep = _check_at(r, seed + attempt)
+        if (rep.omega_rank, rep.dim_W) > (best.omega_rank, best.dim_W):
+            best = rep
     if best.omega_rank < best.dim_ambient:
         best = CoisotropyReport(**{**best.to_dict(), "inconclusive": True})
     return best
@@ -222,13 +205,12 @@ def _minimal_polynomial(x: RatMatrix) -> list[Fraction]:
     for _ in range(n):
         power = power @ x
         flats.append(power.flatten())
-        a = RatMatrix(list(zip(*flats)))
-        ker = kernel(a)
+        ker = kernel(RatMatrix(flats).transpose())
         if ker.dim:
             coeffs = list(ker.basis[0])
             # Normalize to a monic polynomial in the top power present.
             top = max(i for i, c in enumerate(coeffs) if c != 0)
-            inv = 1 / coeffs[top]
+            inv = Fraction(1) / coeffs[top]
             return [c * inv for c in coeffs[:top + 1]]
     raise AssertionError("no linear dependence among matrix powers")
 

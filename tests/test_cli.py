@@ -135,6 +135,11 @@ def test_usage_errors_exit_2(capsys):
     for n_max in ("0", "-3"):
         code, out, err = run(capsys, "sweep", "--family", "gl", "--n-max", n_max)
         assert code == 2 and "usage error" in err and not out
+    # --size / --rank must name the algebra of the partition
+    for argv in (["--family", "so", "--size", "7", "--partition", "3,3"],
+                 ["--family", "gl", "--rank", "9", "--partition", "2,1"]):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and "usage error" in err and not out
 
 
 def test_missing_subcommand_is_an_argparse_error(capsys):

@@ -108,3 +108,102 @@ def test_fractions_stay_exact():
 
 def test_rank_of_vectors_empty():
     assert rank_of_vectors([]) == 0
+
+
+# A dense Fraction reference for the sparse core: lists of lists, no shortcuts.
+
+def _ref_mul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def _ref_rref(rows):
+    """Gauss-Jordan over Fraction: (nonzero reduced rows, pivot columns)."""
+    rows, pivots = [[Fraction(x) for x in r] for r in rows], []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def _ref_kernel(rows, cols):
+    reduced, pivots = _ref_rref(rows)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def _is_canonical(m):
+    """Every stored entry is a nonzero int, or a Fraction that is not an integer."""
+    return all(type(x) is int and x or type(x) is Fraction and x.denominator != 1
+               for row in m.entries for x in row.values())
+
+
+_entries = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-3, 3),
+                     st.fractions(min_value=-2, max_value=2, max_denominator=4))
+
+
+def _matrices(rows, cols):
+    return st.lists(st.lists(_entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def _square_triples(draw):
+    n = draw(st.integers(1, 5))
+    return tuple(draw(_matrices(n, n)) for _ in range(3))
+
+
+@given(_square_triples())
+@settings(max_examples=150, deadline=None)
+def test_sparse_core_agrees_with_dense_reference(dense):
+    a, b, c = dense
+    x, y, z = (RatMatrix(m) for m in dense)
+    assert x @ y == RatMatrix(_ref_mul(a, b))
+    ab, ba = _ref_mul(a, b), _ref_mul(b, a)
+    assert bracket(x, y) == RatMatrix([[p - q for p, q in zip(r1, r2)]
+                                       for r1, r2 in zip(ab, ba)])
+    assert trace_form(x, y) == sum(ab[i][i] for i in range(len(a)))
+    stacked = a + c
+    assert RatMatrix(stacked).rank() == len(_ref_rref(stacked)[1])
+    assert kernel(RatMatrix(stacked)).basis == _ref_kernel(stacked, len(a))
+    for m in (x @ y, bracket(x, y), x + z, x - z, x.scale(Fraction(2, 3)),
+              x.transpose(), RatMatrix(kernel(x).basis or [[0] * len(a)])):
+        assert _is_canonical(m)
+    # Containment: span(c) is inside span(a) iff stacking adds no rank.
+    sa = Subspace.span(len(a), a)
+    sc = Subspace.span(len(a), c)
+    assert sa.contains(sc) == (len(_ref_rref(stacked)[1]) == len(_ref_rref(a)[1]))
+    assert [list(v) for v in sa.basis] == _ref_rref(a)[0]
+
+
+def test_kernel_basis_stays_exact():
+    (v,) = kernel(RatMatrix([[2, 1]])).basis
+    assert v == (Fraction(-1, 2), 1)
+    assert type(v[0]) is Fraction and type(v[1]) is int
+
+
+@pytest.mark.parametrize("label", ["sp6-33", "so7-hook2", "gl5-3.2"])
+def test_realization_entries_are_exact(label):
+    from slicescope.realizations import build_case
+
+    r = build_case(label)
+    mats = [r.e, r.f, r.h, r.gram] + r.g_basis + r.zf_basis + r.q_basis
+    for m in mats:
+        if m is None:
+            continue
+        assert all(type(x) in (int, Fraction) for row in m.data for x in row)
+        assert _is_canonical(m)

@@ -1,0 +1,31 @@
+"""No verdict may depend on ``assert``, which ``python -O`` strips."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import slicescope
+from slicescope.cli import main
+
+PACKAGE = Path(slicescope.__file__).resolve().parent
+
+
+def test_package_has_no_assert_statements():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not found, f"bare asserts vanish under python -O: {found}"
+
+
+def test_verify_under_python_O_matches_in_process(capsys):
+    argv = ["verify", "--case", "sp6-33", "--seed", "0"]
+    code = main(argv)
+    expected = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-O", "-m", "slicescope.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (code, expected)
+    assert code == 0 and expected

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,8 +6,8 @@ import pytest
 from slicescope.exactlinalg import RatMatrix, bracket
 from slicescope.liealg import effective_centralizer, gl, slice_dim, so, sp
 from slicescope.partitions import Partition
-from slicescope.realizations import (RealizationError, build_algebra,
-                                     build_case, classical_triple,
+from slicescope.realizations import (RealizationError, _sl2_on_jordan_block,
+                                     build_algebra, build_case, classical_triple,
                                      hook_L_subspace, invariant_form_on_block,
                                      sp6_q_cartan, weight_space_dims)
 
@@ -45,6 +46,25 @@ def test_invariant_form_symmetry(m):
         assert form.transpose() == form
     else:
         assert form.transpose() == -form
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_invariant_form_is_the_signed_antidiagonal(m):
+    form = invariant_form_on_block(m)
+    assert form == RatMatrix([[(-1) ** i if j == m - 1 - i else 0 for j in range(m)]
+                              for i in range(m)])
+    for x in _sl2_on_jordan_block(m):
+        assert (x.transpose() @ form + form @ x).is_zero()
+
+
+def test_zf_subspace_is_built_once():
+    r = build_case("sp6-33")    # build_case relabels through dataclasses.replace
+    zf = r.zf_subspace()
+    assert r.zf_subspace() is zf
+    assert zf.dim == r.dim_zf
+    copy = dataclasses.replace(r, label="copy")
+    assert copy.zf_subspace() is copy.zf_subspace()
+    assert copy.zf_subspace().basis == zf.basis
 
 
 def test_classical_triple_general_gl_type():
