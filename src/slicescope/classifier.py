@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul, sub
 
 from .datasets import ExceptionalOrbitTable
 from .liealg import (AlgebraFamily, OrbitDatum, ReductiveProduct, hook_family,
                      is_regular_type, is_very_even_type, is_zero_type,
                      orbit_datum)
-from .partitions import (Partition, dual, hook_parameters, parse_partition,
+from .partitions import (Partition, hook_parameters, parse_partition,
                          valid_jordan_types)
 
 
@@ -84,17 +85,19 @@ def reduced_inequality(family_kind: str, mu: Partition) -> bool:
       Sp: sum mu_i^2 - 2 sum_{i odd} mu_i > sum d_i^2
       SO: sum mu_i^2 - 2 mu_1 - 2 sum_{i even} mu_i > sum d_i^2
     """
-    sq = sum(m * m for m in mu.parts)
-    d_sq = sum((mu.part(i) - mu.part(i + 1)) ** 2
-               for i in range(1, len(mu.parts) + 1))
+    m = mu.parts
+    sq = sum(map(mul, m, m))
+    d = list(map(sub, m, m[1:] + (0,)))
+    d_sq = sum(map(mul, d, d))
+    first = m[0] if m else 0
     if family_kind == "GL":
-        return sq - mu.n > d_sq + mu.part(1) - 2
-    odd_sum = sum(mu.part(i) for i in range(1, len(mu.parts) + 1, 2))
+        return sq - sum(m) > d_sq + first - 2
+    odd_sum = sum(m[::2])
     if family_kind == "Sp":
         return sq - 2 * odd_sum > d_sq
     if family_kind == "SO":
-        even_sum = mu.n - odd_sum
-        return sq - 2 * mu.part(1) - 2 * even_sum > d_sq
+        even_sum = sum(m[1::2])
+        return sq - 2 * first - 2 * even_sum > d_sq
     raise ValueError(f"unknown family kind: {family_kind!r}")
 
 
@@ -112,6 +115,10 @@ _VIA_ISOMORPHISM: dict[tuple[str, tuple[int, ...]], tuple[str, str]] = {
 }
 # so(4) = sl(2)+sl(2): the (2,2) image is regular-plus-zero, not a hook.
 _SO4_SPLIT = ("SO", (2, 2))
+# Its matrix model is coisotropic, but in the factor that sees the zero orbit
+# the slice is all of sl(2), whose generic stabilizer is a torus: stabilizer
+# dim 1, and dim W-perp 2 rather than rk g + rk q = 3.
+_SO4_SPLIT_COISOTROPY = {"contained": True, "dim_W_perp": 2, "stabilizer_dim": 1}
 
 
 def iso_image(family_kind: str, p: Partition) -> tuple[AlgebraFamily, Partition] | None:
@@ -156,12 +163,36 @@ def classify(o: OrbitDatum) -> Verdict:
                    note="passes the necessary bound but matches no proven case")
 
 
+def predicted_coisotropy(v: Verdict) -> dict[str, object]:
+    """The coisotropy record fields a verdict predicts for its matrix model.
+
+    Hyperspherical: W contains W-perp, the generic stabilizer is trivial
+    and dim W-perp = rk g + rk of the effective centralizer.  Otherwise W
+    does not contain W-perp.  The so(4) (2,2) split is its own case.
+    """
+    o = v.orbit
+    if (o.family.kind, o.jordan_type.parts) == _SO4_SPLIT:
+        return dict(_SO4_SPLIT_COISOTROPY)
+    if v.status in HYPERSPHERICAL_STATUSES:
+        return {"contained": True, "stabilizer_dim": 0,
+                "dim_W_perp": o.family.rank + o.effective_centralizer.rank}
+    return {"contained": False}
+
+
+# Largest matrix size enumerate_and_classify accepts: gl(40) takes seconds,
+# and the number of types grows like exp(sqrt(n)) beyond it.
+MAX_ENUMERATION_SIZE = 40
+
+
 def enumerate_and_classify(family: AlgebraFamily) -> list[Verdict]:
     """One verdict per valid Jordan type, in reverse-lex order."""
     if family.kind not in ("GL", "Sp", "SO"):
         raise ValueError("enumeration is for classical families")
     if family.size < 1:
         raise ValueError("family size must be positive")
+    if family.size > MAX_ENUMERATION_SIZE:
+        raise ValueError(f"enumeration is capped at matrix size {MAX_ENUMERATION_SIZE}, "
+                         f"{family} has size {family.size}")
     types = valid_jordan_types(family.kind, family.size)
     return [classify(orbit_datum(family, p)) for p in types]
 
@@ -200,10 +231,14 @@ def sweep_inequality_proof(family_kind: str, n_max: int) -> SweepReport:
     exceptions: set[tuple[int, ...]] = set()
     checked = 0
     for n in range(1, n_max + 1):
-        for p in valid_jordan_types(family_kind, n):
-            family = hook_family(family_kind, p)
-            direct = necessary_bound(orbit_datum(family, p)).slack > 0
-            reduced = reduced_inequality(family_kind, dual(p))
+        types = valid_jordan_types(family_kind, n)
+        if not types:
+            continue
+        family = hook_family(family_kind, types[0])
+        for p in types:
+            o = orbit_datum(family, p)
+            direct = necessary_bound(o).slack > 0
+            reduced = reduced_inequality(family_kind, o.dual)
             checked += 1
             if direct != reduced:
                 mismatches.append(f"{family_kind} {p}: direct={direct} reduced={reduced}")

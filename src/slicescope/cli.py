@@ -11,6 +11,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -113,7 +114,10 @@ def _pretty_identity(v: Verdict, out) -> None:
 
 def cmd_classify(args, out) -> int:
     family = _family_from_args(args)
-    verdicts = classifier.enumerate_and_classify(family)
+    try:
+        verdicts = classifier.enumerate_and_classify(family)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     records = [_verdict_record(v) for v in verdicts]
     _emit_records(records, args.format, out)
     if args.format == "pretty":
@@ -172,8 +176,18 @@ def cmd_verify(args, out) -> int:
         except realizations.RealizationError as exc:
             raise UsageError(str(exc))
         rep = verifier.coisotropy_check(r, args.seed)
-        out.write(json.dumps(rep.to_dict(), sort_keys=True) + "\n")
+        record = rep.to_dict()
+        out.write(json.dumps(record, sort_keys=True) + "\n")
         if rep.inconclusive:
+            failures += 1
+            continue
+        v = classifier.classify(liealg.orbit_datum(r.family, r.jordan_type))
+        wrong = [f"{key} {record[key]}, predicted {value}"
+                 for key, value in classifier.predicted_coisotropy(v).items()
+                 if record[key] != value]
+        if wrong:
+            print(f"verify: {label} disagrees with the classifier "
+                  f"({v.status.value}): " + "; ".join(wrong), file=sys.stderr)
             failures += 1
     return 1 if failures else 0
 
@@ -283,9 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and then reused."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args, sys.stdout)
     except UsageError as exc:

@@ -9,6 +9,7 @@ product of classical factors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul, sub
 
 from .partitions import Partition, dual, hook_parameters, is_valid_jordan_type
 
@@ -20,6 +21,27 @@ _EXCEPTIONAL = {  # kind -> (dim, rank)
     "E8": (248, 8),
 }
 
+_CLASSICAL = ("GL", "Sp", "SO")
+
+
+def _check_classical_size(kind: str, size: int) -> None:
+    if size < 0:
+        raise ValueError("negative matrix size")
+    if kind == "Sp" and size % 2:
+        raise ValueError("Sp needs an even matrix size")
+
+
+def _classical_dim(kind: str, size: int) -> int:
+    if kind == "GL":
+        return size * size
+    if kind == "Sp":
+        return size * (size + 1) // 2
+    return size * (size - 1) // 2
+
+
+def _classical_rank(kind: str, size: int) -> int:
+    return size if kind == "GL" else size // 2
+
 
 @dataclass(frozen=True)
 class AlgebraFamily:
@@ -29,32 +51,21 @@ class AlgebraFamily:
     size: int = 0  # matrix size for classical kinds, unused otherwise
 
     def __post_init__(self):
-        if self.kind in ("GL", "Sp", "SO"):
-            if self.size < 0:
-                raise ValueError("negative matrix size")
-            if self.kind == "Sp" and self.size % 2:
-                raise ValueError("Sp needs an even matrix size")
+        if self.kind in _CLASSICAL:
+            _check_classical_size(self.kind, self.size)
         elif self.kind not in _EXCEPTIONAL:
             raise ValueError(f"unknown family kind: {self.kind!r}")
 
     @property
     def dim(self) -> int:
-        if self.kind == "GL":
-            return self.size ** 2
-        if self.kind == "Sp":
-            return self.size * (self.size + 1) // 2
-        if self.kind == "SO":
-            return self.size * (self.size - 1) // 2
+        if self.kind in _CLASSICAL:
+            return _classical_dim(self.kind, self.size)
         return _EXCEPTIONAL[self.kind][0]
 
     @property
     def rank(self) -> int:
-        if self.kind == "GL":
-            return self.size
-        if self.kind == "Sp":
-            return self.size // 2
-        if self.kind == "SO":
-            return self.size // 2
+        if self.kind in _CLASSICAL:
+            return _classical_rank(self.kind, self.size)
         return _EXCEPTIONAL[self.kind][1]
 
     def __str__(self) -> str:
@@ -101,16 +112,18 @@ class Factor:
 
     @property
     def dim(self) -> int:
-        if self.kind in ("GL", "Sp", "SO"):
-            return AlgebraFamily(self.kind, self.size).dim
+        if self.kind in _CLASSICAL:
+            _check_classical_size(self.kind, self.size)
+            return _classical_dim(self.kind, self.size)
         if self.kind in _SIMPLE_DIMS:
             return _SIMPLE_DIMS[self.kind](self.size)
         return _EXCEPTIONAL[self.kind][0]
 
     @property
     def rank(self) -> int:
-        if self.kind in ("GL", "Sp", "SO"):
-            return AlgebraFamily(self.kind, self.size).rank
+        if self.kind in _CLASSICAL:
+            _check_classical_size(self.kind, self.size)
+            return _classical_rank(self.kind, self.size)
         if self.kind in _SIMPLE_DIMS:
             return self.size
         return _EXCEPTIONAL[self.kind][1]
@@ -145,7 +158,7 @@ class ReductiveProduct:
     def __str__(self) -> str:
         if not self.factors:
             return "1"
-        body = "x".join(str(f) for f in self.factors)
+        body = "x".join(map(str, self.factors))
         return body + ("/T1" if self.torus_removed else "")
 
 TRIVIAL_PRODUCT = ReductiveProduct(())
@@ -161,7 +174,7 @@ def _require_valid(family: AlgebraFamily, p: Partition) -> None:
 
 
 def odd_part_count(p: Partition) -> int:
-    return sum(1 for part in p.parts if part % 2 == 1)
+    return sum(map((1).__and__, p.parts))
 
 
 def slice_dim(family: AlgebraFamily, p: Partition) -> int:
@@ -173,11 +186,16 @@ def slice_dim(family: AlgebraFamily, p: Partition) -> int:
     are evaluated and must agree.
     """
     _require_valid(family, p)
-    mu = dual(p)
-    sq = sum(m * m for m in mu.parts)
+    return _slice_dim(family, p, dual(p))
+
+
+def _slice_dim(family: AlgebraFamily, p: Partition, mu: Partition) -> int:
+    """slice_dim for a valid type p with transpose mu."""
+    m = mu.parts
+    sq = sum(map(mul, m, m))
     if family.kind == "GL":
         return sq
-    alternating = sum((-1) ** i * m for i, m in enumerate(mu.parts))
+    alternating = sum(m[::2]) - sum(m[1::2])
     odd = odd_part_count(p)
     if alternating != odd:
         raise AssertionError("dual alternating sum must count odd parts")
@@ -195,24 +213,25 @@ def reductive_centralizer(family: AlgebraFamily, p: Partition) -> ReductiveProdu
     Sp(d_i) at odd i and SO(d_i) at even i; SO swaps the two.
     """
     _require_valid(family, p)
-    mu = dual(p)
+    return _centralizer(family, dual(p))
+
+
+def _centralizer(family: AlgebraFamily, mu: Partition) -> ReductiveProduct:
+    """reductive_centralizer for the valid type whose transpose is mu."""
+    kind = family.kind
+    m = mu.parts
     factors = []
-    for i in range(1, len(mu.parts) + 1):
-        d = mu.part(i) - mu.part(i + 1)
+    for i, d in enumerate(map(sub, m, m[1:] + (0,)), start=1):
         if d == 0:
             continue
-        if family.kind == "GL":
+        if kind == "GL":
             factors.append(Factor("GL", d))
-        elif family.kind == "Sp":
-            kind = "Sp" if i % 2 == 1 else "SO"
-            if kind == "Sp" and d % 2:
-                raise AssertionError("odd-size Sp factor from a valid Sp type")
-            factors.append(Factor(kind, d))
+        elif (i % 2 == 1) == (kind == "Sp"):   # Sp factors: odd i in Sp, even i in SO
+            if d % 2:
+                raise AssertionError(f"odd-size Sp factor from a valid {kind} type")
+            factors.append(Factor("Sp", d))
         else:
-            kind = "SO" if i % 2 == 1 else "Sp"
-            if kind == "Sp" and d % 2:
-                raise AssertionError("odd-size Sp factor from a valid SO type")
-            factors.append(Factor(kind, d))
+            factors.append(Factor("SO", d))
     return ReductiveProduct(tuple(factors))
 
 
@@ -244,7 +263,7 @@ def is_regular_type(family: AlgebraFamily, p: Partition) -> bool:
 
 
 def is_zero_type(p: Partition) -> bool:
-    return all(part == 1 for part in p.parts)
+    return not p.parts or p.parts[0] == 1   # parts decrease from the first
 
 
 def is_very_even_type(family: AlgebraFamily, p: Partition) -> bool:
@@ -268,14 +287,16 @@ class OrbitDatum:
 
 
 def orbit_datum(family: AlgebraFamily, p: Partition) -> OrbitDatum:
-    s = slice_dim(family, p)
+    _require_valid(family, p)
+    mu = dual(p)
+    s = _slice_dim(family, p, mu)
     return OrbitDatum(
         family=family,
         jordan_type=p,
-        dual=dual(p),
+        dual=mu,
         slice_dim=s,
         orbit_dim=family.dim - s,
-        centralizer=reductive_centralizer(family, p),
+        centralizer=_centralizer(family, mu),
     )
 
 

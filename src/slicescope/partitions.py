@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import filterfalse
+from operator import ge
 from typing import Iterator
+
+_is_int = int.__instancecheck__
+_odd = (1).__and__   # part -> part & 1
 
 
 @dataclass(frozen=True, order=True)
@@ -18,11 +22,16 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        for i, p in enumerate(self.parts):
+        parts = self.parts
+        if (all(map(_is_int, parts)) and all(map(ge, parts, parts[1:]))
+                and (not parts or parts[-1] >= 1)):
+            return
+        # Rejected: find the first offending part for the message.
+        for i, p in enumerate(parts):
             if not isinstance(p, int) or p < 1:
                 raise ValueError(f"parts must be positive integers, got {p!r}")
-            if i and self.parts[i - 1] < p:
-                raise ValueError(f"parts must be weakly decreasing: {self.parts}")
+            if i and parts[i - 1] < p:
+                raise ValueError(f"parts must be weakly decreasing: {parts}")
 
     @classmethod
     def of(cls, *parts: int) -> "Partition":
@@ -41,7 +50,7 @@ class Partition:
         return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
+        return "(" + ",".join(map(str, self.parts)) + ")"
 
 
 def parse_partition(text: str) -> Partition:
@@ -59,12 +68,13 @@ def parse_partition(text: str) -> Partition:
 
 def dual(p: Partition) -> Partition:
     """Transpose partition: i-th part counts the parts of p that are >= i."""
-    if not p.parts:
-        return p
-    mu = [0] * p.parts[0]
-    for part in p.parts:
-        for i in range(part):
-            mu[i] += 1
+    # From the smallest part up: the k-th part of p is the last one that
+    # reaches the columns past the previous, shorter parts.
+    mu: list[int] = []
+    k = len(p.parts)
+    for part in reversed(p.parts):
+        mu += [k] * (part - len(mu))
+        k -= 1
     return Partition(tuple(mu))
 
 
@@ -84,12 +94,15 @@ def is_valid_jordan_type(p: Partition, family_kind: str) -> bool:
     """
     if family_kind == "GL":
         return True
-    mults = multiplicities(p)
     if family_kind == "Sp":
-        return all(m % 2 == 0 for part, m in mults.items() if part % 2 == 1)
-    if family_kind == "SO":
-        return all(m % 2 == 0 for part, m in mults.items() if part % 2 == 0)
-    raise ValueError(f"unknown family kind: {family_kind!r}")
+        paired = tuple(filter(_odd, p.parts))
+    elif family_kind == "SO":
+        paired = tuple(filterfalse(_odd, p.parts))
+    else:
+        raise ValueError(f"unknown family kind: {family_kind!r}")
+    # Equal parts are adjacent, so every multiplicity is even exactly when
+    # the parts pair off in order.
+    return paired[::2] == paired[1::2]
 
 
 def hook_parameters(p: Partition) -> tuple[int, int] | None:
@@ -98,30 +111,50 @@ def hook_parameters(p: Partition) -> tuple[int, int] | None:
     The zero Jordan type (1^n) is deliberately not a hook here; it is
     classified separately.
     """
-    if not p.parts or p.parts[0] < 2:
+    parts = p.parts
+    if not parts or parts[0] < 2:
         return None
-    if any(part != 1 for part in p.parts[1:]):
+    # Parts decrease, so the rest are all 1 when the second one is.
+    if len(parts) > 1 and parts[1] != 1:
         return None
-    return p.n, len(p.parts) - 1
+    return p.n, len(parts) - 1
 
 
-@lru_cache(maxsize=None)
-def _partitions_of(n: int, largest: int) -> tuple[tuple[int, ...], ...]:
-    if n == 0:
-        return ((),)
-    out = []
-    for first in range(min(n, largest), 0, -1):
-        for rest in _partitions_of(n - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
+def _valid_parts(n: int, largest: int, paired: int | None) -> Iterator[tuple[int, ...]]:
+    """Valid types of n with parts <= largest, in reverse-lex order.
+
+    Each part value is chosen from largest to smallest, then its
+    multiplicity from largest to smallest; ones fill what is left.  Parts
+    of parity ``paired`` (1 odd, 0 even, None neither) take even
+    multiplicities only.
+    """
+    if paired == 1 and n % 2:
+        return   # odd parts pair off, so the size is even
+    for value in range(min(n, largest), 1, -1):
+        top = n // value
+        step = -1
+        if value % 2 == paired:
+            top -= top % 2
+            step = -2
+        for mult in range(top, 0, step):
+            head = (value,) * mult
+            for rest in _valid_parts(n - value * mult, value - 1, paired):
+                yield head + rest
+    if n >= 0:
+        yield (1,) * n
+
+
+# Parity of the parts that need even multiplicity (1 odd, 0 even).
+_PAIRED_PARITY = {"GL": None, "Sp": 1, "SO": 0}
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
     """All partitions of n in reverse-lexicographic order."""
-    for parts in _partitions_of(n, n):
-        yield Partition(parts)
+    return map(Partition, _valid_parts(n, n, None))
 
 
 def valid_jordan_types(family_kind: str, n: int) -> list[Partition]:
     """Valid Jordan types of an n x n nilpotent for the family, reverse-lex."""
-    return [p for p in partitions_of(n) if is_valid_jordan_type(p, family_kind)]
+    if family_kind not in _PAIRED_PARITY:
+        raise ValueError(f"unknown family kind: {family_kind!r}")
+    return list(map(Partition, _valid_parts(n, n, _PAIRED_PARITY[family_kind])))

@@ -1,8 +1,20 @@
+import dataclasses
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import slicescope
+from slicescope import verifier
 from slicescope.cli import main
+
+# The classify/sweep commands of the benchmark, with the SHA-256 of their stdout.
+EXPECTED_OUTPUT = (Path(__file__).resolve().parent.parent
+                   / "perfbench" / "expected_output.json")
 
 
 def run(capsys, *argv):
@@ -97,6 +109,28 @@ def test_verify_free_partition_sp_so(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("case", ["gl5-3.2", "sp6-33", "so4-2.2"])
+def test_verify_agrees_with_classifier(capsys, case):
+    code, out, err = run(capsys, "verify", "--case", case)
+    assert code == 0 and not err
+    assert json.loads(out)["case"] == case
+
+
+def test_verify_disagreement_exits_1(capsys, monkeypatch):
+    real = verifier.coisotropy_check
+
+    def not_contained(r, seed):
+        return dataclasses.replace(real(r, seed), contained=False)
+
+    monkeypatch.setattr(verifier, "coisotropy_check", not_contained)
+    code, out, err = run(capsys, "verify", "--case", "sp6-33")
+    assert code == 1
+    assert json.loads(out)["contained"] is False
+    assert err.count("\n") == 1
+    assert "sp6-33 disagrees with the classifier" in err
+    assert "contained False, predicted True" in err
+
+
 def test_verify_bad_case_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--case", "zz9-hook1")
     assert code == 2
@@ -132,6 +166,10 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run(capsys, "check", "--family", "sp", "--partition",
                        "3,2,1", "--rank-from-partition")
     assert code == 2
+    # classify refuses sizes above its cap before enumerating anything
+    for argv in (["--family", "gl", "--rank", "70"], ["--family", "so", "--size", "41"]):
+        code, out, err = run(capsys, "classify", *argv)
+        assert code == 2 and "usage error" in err and "size 40" in err and not out
     for n_max in ("0", "-3"):
         code, out, err = run(capsys, "sweep", "--family", "gl", "--n-max", n_max)
         assert code == 2 and "usage error" in err and not out
@@ -145,3 +183,32 @@ def test_usage_errors_exit_2(capsys):
 def test_missing_subcommand_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_one_process_matches_fresh_processes(capsys):
+    """The parser is reused across calls; no parse state may leak."""
+    calls = [
+        ["classify", "--family", "gl", "--rank", "3"],
+        ["classify", "--family", "so", "--rank", "3"],
+        ["verify", "--family", "gl", "--partition", "3,2"],
+        ["check", "--family", "so", "--partition", "5,1,1",
+         "--rank-from-partition", "--format", "json"],
+    ]
+    in_process = [run(capsys, *argv) for argv in calls]
+    src = Path(slicescope.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for argv, got in zip(calls, in_process):
+        proc = subprocess.run([sys.executable, "-m", "slicescope.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert [code for code, _, _ in in_process] == [0, 2, 0, 0]
+
+
+@pytest.mark.parametrize("entry", json.loads(EXPECTED_OUTPUT.read_text()),
+                         ids=lambda e: " ".join(e["argv"]))
+def test_benchmark_commands_are_byte_identical(capsys, entry):
+    code, out, _ = run(capsys, *entry["argv"])
+    assert code == 0
+    data = out.encode()
+    assert len(data) == entry["bytes"]
+    assert hashlib.sha256(data).hexdigest() == entry["sha256"]

@@ -37,6 +37,18 @@ def test_factor_and_product_arithmetic():
     assert TRIVIAL_PRODUCT.dim == 0 and str(TRIVIAL_PRODUCT) == "1"
 
 
+def test_classical_factor_matches_its_family():
+    for kind, make in (("GL", gl), ("Sp", sp), ("SO", so)):
+        for size in range(0, 13, 1 if kind != "Sp" else 2):
+            f, g = Factor(kind, size), make(size)
+            assert (f.dim, f.rank, str(f)) == (g.dim, g.rank, str(g))
+    for bad in (Factor("Sp", 3), Factor("GL", -1)):
+        with pytest.raises(ValueError):
+            bad.dim
+        with pytest.raises(ValueError):
+            bad.rank
+
+
 def test_slice_dim_examples():
     # gl: sum of squared transpose parts.
     assert slice_dim(gl(5), Partition((3, 2))) == 2 * 2 + 2 * 2 + 1  # mu=(2,2,1)
@@ -116,6 +128,25 @@ def _families_up_to(max_rank):
         yield sp(n)
     for n in range(3, 2 * max_rank + 2):
         yield so(n)
+
+
+def test_orbit_datum_matches_public_functions():
+    for fam in _families_up_to(6):
+        for p in valid_jordan_types(fam.kind, fam.size):
+            o = orbit_datum(fam, p)
+            assert o.dual == dual(p)
+            assert o.slice_dim == slice_dim(fam, p)
+            assert o.orbit_dim == orbit_dim(fam, p)
+            assert o.centralizer == reductive_centralizer(fam, p)
+
+
+def test_orbit_datum_rejects_bad_input():
+    with pytest.raises(ValueError, match="not a valid Sp Jordan type"):
+        orbit_datum(sp(6), Partition((3, 2, 1)))
+    with pytest.raises(ValueError, match="does not fit"):
+        orbit_datum(gl(4), Partition((3, 2)))
+    with pytest.raises(ValueError, match="only modeled for classical"):
+        orbit_datum(liealg.exceptional("G2"), Partition((2,)))
 
 
 def test_slice_plus_orbit_is_algebra_dim_everywhere():

@@ -11,12 +11,20 @@ from slicescope.partitions import (Partition, dual, hook_parameters,
 
 def test_partition_validation():
     Partition((3, 1, 1))
-    with pytest.raises(ValueError):
+    Partition(())
+    with pytest.raises(ValueError, match=r"weakly decreasing: \(1, 2\)"):
         Partition((1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive integers, got 0"):
         Partition((2, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive integers, got -1"):
         Partition((2, -1))
+    with pytest.raises(ValueError, match="positive integers, got 2.0"):
+        Partition((2.0,))
+    # The first offending part names the error.
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        Partition((1, 2, 0))
+    with pytest.raises(ValueError, match="positive integers, got 0"):
+        Partition((3, 0, 4))
 
 
 def test_basic_accessors():
@@ -75,10 +83,13 @@ def test_jordan_validity_examples():
 
 
 def test_partitions_of_counts():
-    # p(n) for n = 1..10.
-    counts = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
-    for n, c in zip(range(1, 11), counts):
+    # p(n) for n = 1..30.
+    counts = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231,
+              297, 385, 490, 627, 792, 1002, 1255, 1575, 1958, 2436, 3010,
+              3718, 4565, 5604]
+    for n, c in zip(range(1, 31), counts):
         assert len(list(partitions_of(n))) == c
+    assert [p.parts for p in partitions_of(0)] == [()]
 
 
 def test_partitions_of_order():
@@ -106,6 +117,29 @@ def _brute_force_types(kind, n):
     return out
 
 
+def _reverse_lex(n, largest):
+    """Reference: every partition of n with parts <= largest, reverse-lex."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _reverse_lex(n - first, first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("kind", ["GL", "Sp", "SO"])
+def test_valid_types_match_filtered_reference_in_order(kind):
+    for n in range(0, 23):
+        expected = [parts for parts in _reverse_lex(n, n)
+                    if is_valid_jordan_type(Partition(parts), kind)]
+        assert [p.parts for p in valid_jordan_types(kind, n)] == expected, n
+
+
+def test_valid_types_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown family kind"):
+        valid_jordan_types("XX", 4)
+
+
 @pytest.mark.parametrize("kind", ["GL", "Sp", "SO"])
 def test_valid_types_against_brute_force(kind):
     for n in range(1, 11):
@@ -122,6 +156,14 @@ partitions = st.lists(st.integers(1, 9), min_size=0, max_size=8).map(
 def test_dual_is_an_involution(p):
     assert dual(dual(p)) == p
     assert dual(p).n == p.n
+
+
+@given(partitions)
+@settings(max_examples=120, deadline=None)
+def test_dual_matches_column_counts(p):
+    columns = tuple(sum(1 for part in p.parts if part >= i)
+                    for i in range(1, p.part(1) + 1))
+    assert dual(p).parts == columns
 
 
 @given(partitions)
