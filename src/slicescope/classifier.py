@@ -17,8 +17,7 @@ from .datasets import ExceptionalOrbitTable
 from .liealg import (AlgebraFamily, OrbitDatum, ReductiveProduct, hook_family,
                      is_regular_type, is_very_even_type, is_zero_type,
                      orbit_datum)
-from .partitions import (Partition, hook_parameters, parse_partition,
-                         valid_jordan_types)
+from .partitions import Partition, hook_parameters, valid_jordan_types
 
 
 class Status(Enum):
@@ -34,6 +33,18 @@ HYPERSPHERICAL_STATUSES = frozenset({
     Status.ZERO_ORBIT, Status.REGULAR_ORBIT, Status.HYPERSPHERICAL_HOOK,
     Status.HYPERSPHERICAL_SPECIAL, Status.HYPERSPHERICAL_VIA_ISOMORPHISM,
 })
+
+
+@dataclass(frozen=True)
+class NonHookCase:
+    """A hyperspherical Jordan type that is neither zero, regular nor a hook."""
+
+    status: Status
+    note: str
+    # Hook image under a low-rank isomorphism or triality, if there is one.
+    image: tuple[AlgebraFamily, Partition] | None = None
+    # Generic stabilizer dimension in q of the matrix model.
+    stabilizer_dim: int = 0
 
 
 @dataclass(frozen=True)
@@ -59,6 +70,7 @@ class Verdict:
     bound: BoundReport
     note: str = ""           # isomorphism target, special-case name, warnings
     very_even: bool = False  # type-D label standing for two orbits
+    case: NonHookCase | None = None   # the table entry of a non-hook exception
 
 
 def dimension_bound(g: AlgebraFamily, slice_dim: int,
@@ -101,34 +113,34 @@ def reduced_inequality(family_kind: str, mu: Partition) -> bool:
     raise ValueError(f"unknown family kind: {family_kind!r}")
 
 
-# Jordan types that fail to be hooks yet are hyperspherical, via low-rank
-# classical isomorphisms (or triality for SO(8)).  Keyed by (kind, parts);
-# the value describes the hook image: (target kind or label, target type).
-_VIA_ISOMORPHISM: dict[tuple[str, tuple[int, ...]], tuple[str, str]] = {
-    ("GL", (2, 2)): ("SO", "3,1,1,1"),
-    ("Sp", (2, 2)): ("SO", "3,1,1"),
-    ("SO", (3, 3)): ("GL", "3,1"),
-    ("SO", (2, 2, 1, 1)): ("GL", "2,1,1"),
-    ("SO", (2, 2, 1)): ("Sp", "2,1,1"),
-    ("SO", (4, 4)): ("SO", "5,1,1,1"),       # triality
-    ("SO", (2, 2, 2, 2)): ("SO", "3,1,1,1,1"),  # triality
+def _via(kind: str, parts: tuple[int, ...], tag: str = "") -> NonHookCase:
+    target_type = Partition(parts)
+    target = hook_family(kind, target_type)
+    return NonHookCase(Status.HYPERSPHERICAL_VIA_ISOMORPHISM,
+                       f"{target_type} in {target}{tag}", (target, target_type))
+
+
+# The paper's full list beyond zero, regular and hooks, keyed by (kind, parts).
+NON_HOOK_CASES: dict[tuple[str, tuple[int, ...]], NonHookCase] = {
+    ("GL", (2, 2)): _via("SO", (3, 1, 1, 1)),
+    ("Sp", (2, 2)): _via("SO", (3, 1, 1)),
+    ("Sp", (3, 3)): NonHookCase(Status.HYPERSPHERICAL_SPECIAL, "(3,3) in sp(6)"),
+    # so(4) = sl(2)+sl(2): the image is regular in one factor and zero in the
+    # other, where the slice is all of sl(2) and a torus stabilizes it.
+    ("SO", (2, 2)): NonHookCase(Status.HYPERSPHERICAL_VIA_ISOMORPHISM,
+                                "(2)+(1,1) in sl(2)+sl(2)", stabilizer_dim=1),
+    ("SO", (3, 3)): _via("GL", (3, 1)),
+    ("SO", (2, 2, 1, 1)): _via("GL", (2, 1, 1)),
+    ("SO", (2, 2, 1)): _via("Sp", (2, 1, 1)),
+    ("SO", (4, 4)): _via("SO", (5, 1, 1, 1), " (triality)"),
+    ("SO", (2, 2, 2, 2)): _via("SO", (3, 1, 1, 1, 1), " (triality)"),
 }
-# so(4) = sl(2)+sl(2): the (2,2) image is regular-plus-zero, not a hook.
-_SO4_SPLIT = ("SO", (2, 2))
-# Its matrix model is coisotropic, but in the factor that sees the zero orbit
-# the slice is all of sl(2), whose generic stabilizer is a torus: stabilizer
-# dim 1, and dim W-perp 2 rather than rk g + rk q = 3.
-_SO4_SPLIT_COISOTROPY = {"contained": True, "dim_W_perp": 2, "stabilizer_dim": 1}
 
 
 def iso_image(family_kind: str, p: Partition) -> tuple[AlgebraFamily, Partition] | None:
     """Hook image of an exceptional classical type, if there is one."""
-    entry = _VIA_ISOMORPHISM.get((family_kind, p.parts))
-    if entry is None:
-        return None
-    target_kind, target_parts = entry
-    target = parse_partition(target_parts)
-    return hook_family(target_kind, target), target
+    case = NON_HOOK_CASES.get((family_kind, p.parts))
+    return case.image if case is not None else None
 
 
 def classify(o: OrbitDatum) -> Verdict:
@@ -136,8 +148,8 @@ def classify(o: OrbitDatum) -> Verdict:
     family, p = o.family, o.jordan_type
     very_even = is_very_even_type(family, p)
 
-    def verdict(status: Status, note: str = "") -> Verdict:
-        return Verdict(o, status, bound, note=note, very_even=very_even)
+    def verdict(status: Status, note: str = "", case: NonHookCase | None = None) -> Verdict:
+        return Verdict(o, status, bound, note=note, very_even=very_even, case=case)
 
     if is_zero_type(p):
         return verdict(Status.ZERO_ORBIT)
@@ -145,17 +157,9 @@ def classify(o: OrbitDatum) -> Verdict:
         return verdict(Status.REGULAR_ORBIT)
     if hook_parameters(p) is not None:
         return verdict(Status.HYPERSPHERICAL_HOOK)
-    if (family.kind, p.parts) == _SO4_SPLIT:
-        return verdict(Status.HYPERSPHERICAL_VIA_ISOMORPHISM,
-                       note="(2)+(1,1) in sl(2)+sl(2)")
-    if (family.kind, p.parts) == ("Sp", (3, 3)):
-        return verdict(Status.HYPERSPHERICAL_SPECIAL, note="(3,3) in sp(6)")
-    image = iso_image(family.kind, p)
-    if image is not None:
-        target, target_type = image
-        tag = " (triality)" if (family.kind, target.kind) == ("SO", "SO") else ""
-        return verdict(Status.HYPERSPHERICAL_VIA_ISOMORPHISM,
-                       note=f"{target_type} in {target}{tag}")
+    case = NON_HOOK_CASES.get((family.kind, p.parts))
+    if case is not None:
+        return verdict(case.status, case.note, case)
     if bound.slack > 0:
         return verdict(Status.NOT_HYPERSPHERICAL)
     # Defensive: the bound alone never certifies hypersphericity.
@@ -166,17 +170,21 @@ def classify(o: OrbitDatum) -> Verdict:
 def predicted_coisotropy(v: Verdict) -> dict[str, object]:
     """The coisotropy record fields a verdict predicts for its matrix model.
 
-    Hyperspherical: W contains W-perp, the generic stabilizer is trivial
-    and dim W-perp = rk g + rk of the effective centralizer.  Otherwise W
-    does not contain W-perp.  The so(4) (2,2) split is its own case.
+    Hyperspherical: W contains W-perp, and dim W-perp = rk g + rk q - s with
+    q the effective centralizer and s its generic stabilizer dimension:
+    rk q for the zero orbit, whose slice is all of g, else the table's.
+    Any other verdict: W does not contain W-perp.
     """
+    if v.status not in HYPERSPHERICAL_STATUSES:
+        return {"contained": False}
     o = v.orbit
-    if (o.family.kind, o.jordan_type.parts) == _SO4_SPLIT:
-        return dict(_SO4_SPLIT_COISOTROPY)
-    if v.status in HYPERSPHERICAL_STATUSES:
-        return {"contained": True, "stabilizer_dim": 0,
-                "dim_W_perp": o.family.rank + o.effective_centralizer.rank}
-    return {"contained": False}
+    q_rank = o.effective_centralizer.rank
+    if v.status is Status.ZERO_ORBIT:
+        s = q_rank
+    else:
+        s = v.case.stabilizer_dim if v.case is not None else 0
+    return {"contained": True, "stabilizer_dim": s,
+            "dim_W_perp": o.family.rank + q_rank - s}
 
 
 # Largest matrix size enumerate_and_classify accepts: gl(40) takes seconds,
@@ -198,10 +206,8 @@ def enumerate_and_classify(family: AlgebraFamily) -> list[Verdict]:
 
 
 EXPECTED_EXCEPTIONS: dict[str, frozenset[tuple[int, ...]]] = {
-    "GL": frozenset({(2, 2)}),
-    "Sp": frozenset({(2, 2), (3, 3)}),
-    "SO": frozenset({(2, 2), (3, 3), (4, 4), (2, 2, 1), (2, 2, 1, 1),
-                     (2, 2, 2, 2)}),
+    kind: frozenset(parts for k, parts in NON_HOOK_CASES if k == kind)
+    for kind in ("GL", "Sp", "SO")
 }
 
 

@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import classifier, datasets, liealg, realizations, superdual, verifier
-from .classifier import Status, Verdict
+from .classifier import HYPERSPHERICAL_STATUSES, Status, Verdict
 from .liealg import AlgebraFamily
 from .partitions import Partition, parse_partition
 
@@ -63,10 +63,7 @@ def _family_from_args(args, n_from_partition: int | None = None) -> AlgebraFamil
 
 def _verdict_record(v: Verdict) -> dict:
     o = v.orbit
-    try:
-        sdual = str(superdual.s_dual(v))
-    except superdual.NoDualError:
-        sdual = "-"
+    sdual = str(superdual.s_dual(v)) if v.status in HYPERSPHERICAL_STATUSES else "-"
     note = f" [{v.note}]" if v.note else ""
     status = v.status.value + note + (" [two orbits]" if v.very_even else "")
     return {
@@ -104,9 +101,8 @@ def _pretty_identity(v: Verdict, out) -> None:
     """Teaching line: lhs - dim(G x Q) = rank sum, for equality cases."""
     if v.bound.slack != 0:
         return
-    o = v.orbit
-    g = o.family
-    q = o.effective_centralizer if g.kind == "GL" else o.centralizer
+    g = v.orbit.family
+    q = v.orbit.effective_centralizer
     left = v.bound.lhs
     mid = g.dim + q.dim
     out.write(f"    identity: {left} - {mid} = {left - mid} = {g.rank} + {q.rank}\n")
@@ -154,42 +150,45 @@ def cmd_dual(args, out) -> int:
     return 0
 
 
-def cmd_verify(args, out) -> int:
+def _realization(args) -> realizations.MatrixRealization:
+    """The matrix model named by --case or by --family/--partition."""
     if args.case:
-        cases = [args.case]
-    elif args.partition:
-        if not args.family:
-            raise UsageError("--partition needs --family")
-        p = parse_partition(args.partition)
-        if args.size is None and args.rank is None:
-            args.rank_from_partition = True   # size the algebra from the partition
-        family = _family_from_args(args, n_from_partition=p.n)
-        if family.size != p.n:
-            raise UsageError(f"{p} does not fit {family}")
-        cases = [f"{args.family}{p.n}-" + ".".join(str(x) for x in p.parts)]
-    else:
+        return realizations.build_case(args.case)
+    if not args.partition:
         raise UsageError("verify needs --case or --family/--partition")
-    failures = 0
-    for label in cases:
-        try:
-            r = realizations.build_case(label)
-        except realizations.RealizationError as exc:
-            raise UsageError(str(exc))
-        rep = verifier.coisotropy_check(r, args.seed)
-        record = rep.to_dict()
-        out.write(json.dumps(record, sort_keys=True) + "\n")
-        if rep.inconclusive:
-            failures += 1
-            continue
-        v = classifier.classify(liealg.orbit_datum(r.family, r.jordan_type))
-        wrong = [f"{key} {record[key]}, predicted {value}"
-                 for key, value in classifier.predicted_coisotropy(v).items()
-                 if record[key] != value]
-        if wrong:
-            print(f"verify: {label} disagrees with the classifier "
-                  f"({v.status.value}): " + "; ".join(wrong), file=sys.stderr)
-            failures += 1
-    return 1 if failures else 0
+    if not args.family:
+        raise UsageError("--partition needs --family")
+    p = parse_partition(args.partition)
+    if args.size is None and args.rank is None:
+        args.rank_from_partition = True   # size the algebra from the partition
+    family = _family_from_args(args, n_from_partition=p.n)
+    if family.size != p.n:
+        raise UsageError(f"{p} does not fit {family}")
+    return realizations.classical_triple(family, p)
+
+
+def cmd_verify(args, out) -> int:
+    try:
+        r = _realization(args)
+    except realizations.InconsistentRealization as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except realizations.RealizationError as exc:
+        raise UsageError(str(exc))
+    rep = verifier.coisotropy_check(r, args.seed)
+    record = rep.to_dict()
+    out.write(json.dumps(record, sort_keys=True) + "\n")
+    if rep.inconclusive:
+        return 1
+    v = classifier.classify(liealg.orbit_datum(r.family, r.jordan_type))
+    wrong = [f"{key} {record[key]}, predicted {value}"
+             for key, value in classifier.predicted_coisotropy(v).items()
+             if record[key] != value]
+    if wrong:
+        print(f"verify: {r.label} disagrees with the classifier "
+              f"({v.status.value}): " + "; ".join(wrong), file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_scan(args, out) -> int:

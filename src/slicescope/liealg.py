@@ -241,10 +241,7 @@ def effective_centralizer(family: AlgebraFamily, p: Partition) -> ReductiveProdu
     For GL one central scalar acts trivially and is removed (dim and rank
     drop by one); Sp and SO centralizers already act effectively.
     """
-    full = reductive_centralizer(family, p)
-    if family.kind == "GL":
-        return ReductiveProduct(full.factors, torus_removed=True)
-    return full
+    return orbit_datum(family, p).effective_centralizer
 
 
 def orbit_dim(family: AlgebraFamily, p: Partition) -> int:
@@ -283,7 +280,9 @@ class OrbitDatum:
 
     @property
     def effective_centralizer(self) -> ReductiveProduct:
-        return effective_centralizer(self.family, self.jordan_type)
+        if self.family.kind == "GL":
+            return ReductiveProduct(self.centralizer.factors, torus_removed=True)
+        return self.centralizer
 
 
 def orbit_datum(family: AlgebraFamily, p: Partition) -> OrbitDatum:

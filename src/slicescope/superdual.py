@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classifier import (HYPERSPHERICAL_STATUSES, Status, Verdict, iso_image)
-from .liealg import (AlgebraFamily, effective_centralizer, gl, sp, so)
+from .classifier import HYPERSPHERICAL_STATUSES, Status, Verdict
+from .liealg import AlgebraFamily
 from .partitions import Partition, hook_parameters
 
 
@@ -131,15 +131,13 @@ def s_dual(v: Verdict) -> DualAssignment:
     if v.status is Status.HYPERSPHERICAL_HOOK:
         return _hook_dual(family, p)
     # Via isomorphism: map through the hook image.
-    if (family.kind, p.parts) == ("SO", (2, 2)):
+    if v.case is None:
+        raise AssertionError(f"{p} in {family} is not in the non-hook table")
+    if v.case.image is None:
         # so(4) splits; the image is regular in one sl2 factor, zero in the other.
         return DualAssignment("SL2^ acting on {0} x SL2^ x SL2^ acting on T*SL2^",
                               provenance="standard")
-    image = iso_image(family.kind, p)
-    if image is None:
-        raise AssertionError(f"{p} in {family} has no hook image under an isomorphism")
-    target, target_type = image
-    return _hook_dual(target, target_type)
+    return _hook_dual(*v.case.image)
 
 
 def g2_short_root_dual() -> DualAssignment:
@@ -167,8 +165,7 @@ def check_even_part(sd: DualAssignment, v: Verdict) -> EvenPartCheck:
     if len(sd.algebras) != 1 or sd.algebras[0].family != "gl":
         return EvenPartCheck(applicable=False, matches=None)
     alg = sd.algebras[0]
-    family, p = v.orbit.family, v.orbit.jordan_type
-    expected = family.dim + effective_centralizer(family, p).dim
+    expected = v.orbit.family.dim + v.orbit.effective_centralizer.dim
     return EvenPartCheck(applicable=True, matches=alg.dim_even == expected,
                          dim_even=alg.dim_even, dim_expected=expected)
 

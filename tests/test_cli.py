@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import slicescope
-from slicescope import verifier
+from slicescope import realizations, verifier
 from slicescope.cli import main
 
 # The classify/sweep commands of the benchmark, with the SHA-256 of their stdout.
@@ -109,7 +109,8 @@ def test_verify_free_partition_sp_so(capsys):
     assert "usage error" in err
 
 
-@pytest.mark.parametrize("case", ["gl5-3.2", "sp6-33", "so4-2.2"])
+@pytest.mark.parametrize("case", ["gl5-3.2", "sp6-33", "so4-2.2", "gl3-1.1.1",
+                                  "sp2-1.1", "so4-1.1.1.1", "so1-1"])
 def test_verify_agrees_with_classifier(capsys, case):
     code, out, err = run(capsys, "verify", "--case", case)
     assert code == 0 and not err
@@ -129,6 +130,20 @@ def test_verify_disagreement_exits_1(capsys, monkeypatch):
     assert err.count("\n") == 1
     assert "sp6-33 disagrees with the classifier" in err
     assert "contained False, predicted True" in err
+
+
+def test_verify_broken_model_exits_1(capsys, monkeypatch):
+    real = realizations._sl2_on_jordan_block
+
+    def broken(m):
+        e, f, h = real(m)
+        return e, f, h.scale(2)
+
+    monkeypatch.setattr(realizations, "_sl2_on_jordan_block", broken)
+    for argv in (["--case", "gl4-hook1"], ["--family", "sp", "--partition", "2,2"]):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 1 and not out
+        assert err.startswith("error: ") and "triple relations fail" in err
 
 
 def test_verify_bad_case_usage_error(capsys):
@@ -178,6 +193,10 @@ def test_usage_errors_exit_2(capsys):
                  ["--family", "gl", "--rank", "9", "--partition", "2,1"]):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and "usage error" in err and not out
+    # verify refuses matrix models above its cap before building anything
+    for argv in (["--family", "gl", "--partition", "13"], ["--case", "so13-hook2"]):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and "usage error" in err and "size 12" in err and not out
 
 
 def test_missing_subcommand_is_an_argparse_error(capsys):

@@ -2,14 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from slicescope.classifier import classify, predicted_coisotropy
 from slicescope.exactlinalg import RatMatrix
-from slicescope.liealg import gl
+from slicescope.liealg import gl, hook_family, orbit_datum
 from slicescope.realizations import build_case, classical_triple
 from slicescope.verifier import (SliceError, coisotropy_check, omega_gram,
                                  orbit_tangent, point_at_e,
                                  semisimplicity_probe, slice_point,
                                  stabilizer_dim)
-from slicescope.partitions import Partition
+from slicescope.partitions import Partition, valid_jordan_types
 
 
 def test_slice_point_is_deterministic():
@@ -86,6 +87,22 @@ def test_coisotropy_negative_case():
         assert rep.omega_rank == rep.dim_ambient == dim_ambient, label
         assert not rep.contained, label
         assert rep.dim_intersection < rep.dim_W_perp, label
+
+
+def test_every_small_type_agrees_with_the_classifier():
+    """Every valid gl/sp/so type with n <= 8 confirms its verdict in a model."""
+    checked = 0
+    for kind in ("GL", "Sp", "SO"):
+        for n in range(1, 9):
+            for p in valid_jordan_types(kind, n):
+                family = hook_family(kind, p)
+                rep = coisotropy_check(classical_triple(family, p), 0)
+                assert not rep.inconclusive, (kind, p)
+                predicted = predicted_coisotropy(classify(orbit_datum(family, p)))
+                got = {key: rep.to_dict()[key] for key in predicted}
+                assert got == predicted, (kind, p)
+                checked += 1
+    assert checked == 127
 
 
 def test_report_serializes():
