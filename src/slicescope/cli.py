@@ -175,14 +175,15 @@ def cmd_verify(args, out) -> int:
         return 1
     except realizations.RealizationError as exc:
         raise UsageError(str(exc))
-    rep = verifier.coisotropy_check(r, args.seed)
+    v = classifier.classify(liealg.orbit_datum(r.family, r.jordan_type))
+    predicted = classifier.predicted_coisotropy(v)
+    rep = verifier.coisotropy_check(r, args.seed, predicted.get("stabilizer_dim", 0))
     record = rep.to_dict()
     out.write(json.dumps(record, sort_keys=True) + "\n")
     if rep.inconclusive:
         return 1
-    v = classifier.classify(liealg.orbit_datum(r.family, r.jordan_type))
     wrong = [f"{key} {record[key]}, predicted {value}"
-             for key, value in classifier.predicted_coisotropy(v).items()
+             for key, value in predicted.items()
              if record[key] != value]
     if wrong:
         print(f"verify: {r.label} disagrees with the classifier "

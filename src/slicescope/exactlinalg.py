@@ -8,7 +8,9 @@ only its nonzero entries: one dict per row, column -> value.  An entry
 is a Python ``int``, or a ``fractions.Fraction`` whose denominator is
 not 1; every operation keeps that form, and every division goes through
 ``Fraction``.  Products, sums, traces and eliminations touch only the
-nonzero entries.
+nonzero entries.  Elimination takes rows sparsest first, which keeps
+fill-in down; its results do not depend on the row order, because the
+reduced row echelon form of a span is unique.
 
 Vectors (flattened matrices, subspace bases, kernel bases) are dense
 tuples of the same entries.
@@ -236,15 +238,21 @@ def _echelon(rows: Iterable[Row]) -> dict[int, dict[int, int]]:
 
     Returns pivot column -> integer row, each row zero at every other
     pivot column and with its leftmost entry at its pivot; the input
-    rows are not modified.  Rows are added one at a time: a new row is
-    cleared at the pivot columns it meets (clearing one never refills
-    another), its leftmost remaining entry becomes a pivot, and that
-    column is cleared from the earlier pivot rows.  Only integers are
-    combined, and every combination is divided by its content, so no
-    Fraction is built and entries stay small.
+    rows are not modified.  Rows are added one at a time, sparsest
+    first (a stable sort by nonzero count): a dense row taken early
+    fills in every later row it meets, a sparse one barely does.  A new
+    row is cleared at the pivot columns it meets (clearing one never
+    refills another), its leftmost remaining entry becomes a pivot, and
+    that column is cleared from the earlier pivot rows.  Only integers
+    are combined, and every combination is divided by its content, so
+    no Fraction is built and entries stay small.
+
+    The order changes only the work: each returned row is a multiple of
+    a row of the reduced row echelon form of the span, which is unique,
+    so ranks, kernels, spans and coordinates do not depend on it.
     """
     reduced: dict[int, dict[int, int]] = {}
-    for row in rows:
+    for row in sorted(rows, key=len):
         v = _integer_row(row)
         for p in [c for c in v if c in reduced]:
             _clear(v, p, reduced[p])

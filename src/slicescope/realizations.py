@@ -30,9 +30,11 @@ class InconsistentRealization(RealizationError):
     """A built matrix model failed one of its own cross-checks."""
 
 
-# Largest matrix size classical_triple builds.  `verify` of the zero orbit
-# of gl(n), the costliest type of each size, took 4.3 / 8.9 / 19.3 / 31.9 s
-# at n = 9 / 10 / 11 / 12 on a 2-core x86-64 box.
+# Largest matrix size classical_triple builds.  `verify`, whole process on a
+# 2-core x86-64 box, took 0.5 / 0.9 / 1.4 / 2.2 s for the zero orbit of gl(n)
+# at n = 9 / 10 / 11 / 12, and 0.6 / 1.0 / 2.3 / 3.7 s for the minimal orbit
+# (2, 1, ..., 1), the costliest type of gl(12).  Raise the cap only after
+# timing the costliest type of each new size.
 MAX_REALIZATION_SIZE = 12
 
 

@@ -166,16 +166,21 @@ def _check_at(r: MatrixRealization, seed: int) -> CoisotropyReport:
     )
 
 
-def coisotropy_check(r: MatrixRealization, seed: int) -> CoisotropyReport:
+def coisotropy_check(r: MatrixRealization, seed: int,
+                     stabilizer: int = 0) -> CoisotropyReport:
     """Coisotropy report at a sampled generic point, with retries.
 
     Up to three fresh seeds are tried; the sample of maximal rank data
-    (omega rank, then orbit dimension) is kept.  If the symplectic form
-    never reaches full rank the report is flagged inconclusive.
+    (omega rank, then orbit dimension) is kept.  A sample with full omega
+    rank and a stabilizer of dimension at most ``stabilizer``, the
+    expected generic one, is final: the generic stabilizer is the
+    smallest, so no retry could raise the orbit dimension.  If the
+    symplectic form never reaches full rank the report is flagged
+    inconclusive.
     """
     best = _check_at(r, seed)
     for attempt in range(1, _MAX_ATTEMPTS):
-        if best.omega_rank == best.dim_ambient and best.stabilizer_dim == 0:
+        if best.omega_rank == best.dim_ambient and best.stabilizer_dim <= stabilizer:
             break
         rep = _check_at(r, seed + attempt)
         if (rep.omega_rank, rep.dim_W) > (best.omega_rank, best.dim_W):

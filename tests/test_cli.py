@@ -120,8 +120,8 @@ def test_verify_agrees_with_classifier(capsys, case):
 def test_verify_disagreement_exits_1(capsys, monkeypatch):
     real = verifier.coisotropy_check
 
-    def not_contained(r, seed):
-        return dataclasses.replace(real(r, seed), contained=False)
+    def not_contained(r, seed, stabilizer=0):
+        return dataclasses.replace(real(r, seed, stabilizer), contained=False)
 
     monkeypatch.setattr(verifier, "coisotropy_check", not_contained)
     code, out, err = run(capsys, "verify", "--case", "sp6-33")
@@ -130,6 +130,25 @@ def test_verify_disagreement_exits_1(capsys, monkeypatch):
     assert err.count("\n") == 1
     assert "sp6-33 disagrees with the classifier" in err
     assert "contained False, predicted True" in err
+
+
+@pytest.mark.parametrize("case", ["gl6-1.1.1.1.1.1", "so4-2.2", "gl6-hook2"])
+def test_verify_stops_at_the_predicted_stabilizer(capsys, monkeypatch, case):
+    # The zero orbit and so(4) (2,2) have a nonzero generic stabilizer; a
+    # sample that reaches it is final, and the record is the one all
+    # three attempts of the library default keep.
+    full = verifier.coisotropy_check(realizations.build_case(case), 0).to_dict()
+    real, seeds = verifier._check_at, []
+
+    def counted(r, seed):
+        seeds.append(seed)
+        return real(r, seed)
+
+    monkeypatch.setattr(verifier, "_check_at", counted)
+    code, out, _ = run(capsys, "verify", "--case", case, "--seed", "0")
+    assert code == 0
+    assert seeds == [0]
+    assert json.loads(out) == full
 
 
 def test_verify_broken_model_exits_1(capsys, monkeypatch):

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slicescope.exactlinalg import (RatMatrix, Subspace, bracket, kernel,
-                                    rank_of_vectors, trace_form)
+from slicescope.exactlinalg import (RatMatrix, Subspace, _rref, _sparse, bracket,
+                                    kernel, rank_of_vectors, trace_form)
 
 
 def test_kernel_identity_is_trivial():
@@ -207,3 +207,53 @@ def test_realization_entries_are_exact(label):
             continue
         assert all(type(x) in (int, Fraction) for row in m.data for x in row)
         assert _is_canonical(m)
+
+
+# Elimination takes rows in its own order (sparsest first); every result
+# must be the one of the unique reduced row echelon form, whatever order
+# the rows come in.
+
+@st.composite
+def _permuted_pairs(draw):
+    """Two mostly-zero matrices of one width, with a row order for each."""
+    cols = draw(st.integers(1, 5))
+    a = draw(_matrices(draw(st.integers(1, 6)), cols))
+    c = draw(_matrices(draw(st.integers(1, 6)), cols))
+    return (a, draw(st.permutations(range(len(a)))),
+            c, draw(st.permutations(range(len(c)))))
+
+
+def _reordered(vecs, perm):
+    """vecs in the order perm gives, ignoring indices past the end."""
+    return [vecs[i] for i in perm if i < len(vecs)]
+
+
+@given(_permuted_pairs())
+@settings(max_examples=150, deadline=None)
+def test_results_do_not_depend_on_row_order(pair):
+    a, perm_a, c, perm_c = pair
+    cols = len(a[0])
+    pa = _reordered(a, perm_a)
+    assert _rref(map(_sparse, pa)) == _rref(map(_sparse, a))
+    assert kernel(RatMatrix(pa)).basis == kernel(RatMatrix(a)).basis
+    assert Subspace.span(cols, pa).basis == Subspace.span(cols, a).basis
+    assert RatMatrix(pa).rank() == RatMatrix(a).rank() == rank_of_vectors(pa)
+    # One independent basis in two orders: coordinates follow the basis
+    # vectors, and intersections with span(c) keep their dimension.
+    basis = Subspace.span(cols, a).basis
+    order = _reordered(range(len(basis)), perm_a)
+    sub = Subspace(cols, basis)
+    psub = Subspace(cols, _reordered(basis, order))
+    inside = [sum((x * (t + 1) for t, x in enumerate(col)), Fraction(0))
+              for col in zip(*a)]
+    for v in [inside] + c:
+        got, pgot = sub.coords(v), psub.coords(v)
+        assert (got is None) == (pgot is None)
+        if got is not None:
+            assert pgot == _reordered(got, order)
+    c_basis = Subspace.span(cols, c).basis
+    sc = Subspace(cols, c_basis)
+    psc = Subspace(cols, _reordered(c_basis, _reordered(range(len(c_basis)), perm_c)))
+    joint = len(_ref_rref(a + c)[1])
+    for s, other in [(sub, sc), (psub, sc), (sub, psc), (psub, psc)]:
+        assert s.intersection_dim(other) == s.dim + other.dim - joint
