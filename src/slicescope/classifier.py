@@ -187,8 +187,10 @@ def predicted_coisotropy(v: Verdict) -> dict[str, object]:
             "dim_W_perp": o.family.rank + q_rank - s}
 
 
-# Largest matrix size enumerate_and_classify accepts: gl(40) takes seconds,
-# and the number of types grows like exp(sqrt(n)) beyond it.
+# Largest matrix size enumerate_and_classify accepts.  As a whole process,
+# `classify --family gl --rank 40` (37338 types) takes 2.2-2.5 s on a
+# 2-core x86-64 box with CPython 3.11, and the number of types grows like
+# exp(sqrt(n)) beyond it.
 MAX_ENUMERATION_SIZE = 40
 
 

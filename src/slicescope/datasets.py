@@ -42,7 +42,10 @@ def parse_centralizer(text: str) -> ReductiveProduct:
         elif kind in ("A", "B", "C", "D", "T", "GL", "Sp", "SO"):
             if not num:
                 raise TableError(f"factor {token!r} needs a size")
-            factors.append(Factor(kind, int(num)))
+            try:
+                factors.append(Factor(kind, int(num)))
+            except ValueError as exc:
+                raise TableError(f"bad centralizer factor {token!r}: {exc}") from None
         else:
             raise TableError(f"unknown factor kind: {token!r}")
     return ReductiveProduct(tuple(factors))
@@ -101,7 +104,10 @@ def _parse_rows(lines, algebra: AlgebraFamily, source: str) -> ExceptionalOrbitT
             dim_orbit = int(cells[1])
         except ValueError:
             raise TableError(f"{source}:{lineno}: bad orbit dimension {cells[1]!r}")
-        centralizer = parse_centralizer(cells[2])
+        try:
+            centralizer = parse_centralizer(cells[2])
+        except TableError as exc:
+            raise TableError(f"{source}:{lineno}: {exc}") from None
         component = cells[3].strip() if len(cells) > 3 and cells[3].strip() else "1"
         rows.append(OrbitRow(label, dim_orbit, centralizer, component))
     try:

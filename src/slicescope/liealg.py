@@ -9,6 +9,8 @@ product of classical factors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import compress
 from operator import mul, sub
 
 from .partitions import Partition, dual, hook_parameters, is_valid_jordan_type
@@ -43,30 +45,33 @@ def _classical_rank(kind: str, size: int) -> int:
     return size if kind == "GL" else size // 2
 
 
+def _store(obj, dim: int, rank: int) -> None:
+    """Set the derived dim and rank of a frozen dataclass instance."""
+    object.__setattr__(obj, "dim", dim)
+    object.__setattr__(obj, "rank", rank)
+
+
 @dataclass(frozen=True)
 class AlgebraFamily:
-    """GL(n) / Sp(2n) / SO(m) with matrix size, or an exceptional type."""
+    """GL(n) / Sp(2n) / SO(m) with matrix size, or an exceptional type.
+
+    dim and rank are computed once, when the family is made.
+    """
 
     kind: str   # "GL", "Sp", "SO", or an exceptional label
     size: int = 0  # matrix size for classical kinds, unused otherwise
+    dim: int = field(init=False, compare=False, repr=False)
+    rank: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.kind in _CLASSICAL:
-            _check_classical_size(self.kind, self.size)
-        elif self.kind not in _EXCEPTIONAL:
-            raise ValueError(f"unknown family kind: {self.kind!r}")
-
-    @property
-    def dim(self) -> int:
-        if self.kind in _CLASSICAL:
-            return _classical_dim(self.kind, self.size)
-        return _EXCEPTIONAL[self.kind][0]
-
-    @property
-    def rank(self) -> int:
-        if self.kind in _CLASSICAL:
-            return _classical_rank(self.kind, self.size)
-        return _EXCEPTIONAL[self.kind][1]
+        kind, size = self.kind, self.size
+        if kind in _CLASSICAL:
+            _check_classical_size(kind, size)
+            _store(self, _classical_dim(kind, size), _classical_rank(kind, size))
+        elif kind in _EXCEPTIONAL:
+            _store(self, *_EXCEPTIONAL[kind])
+        else:
+            raise ValueError(f"unknown family kind: {kind!r}")
 
     def __str__(self) -> str:
         if self.kind in ("GL", "Sp", "SO"):
@@ -104,29 +109,26 @@ class Factor:
     """One factor of a reductive product.
 
     kind "GL"/"Sp"/"SO" carries a matrix size; kinds "A".."D" and "T"
-    carry a Lie rank; exceptional labels carry nothing.
+    carry a Lie rank; exceptional labels carry nothing.  dim and rank are
+    computed once, when the factor is made.
     """
 
     kind: str
     size: int = 0
+    dim: int = field(init=False, compare=False, repr=False)
+    rank: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def dim(self) -> int:
-        if self.kind in _CLASSICAL:
-            _check_classical_size(self.kind, self.size)
-            return _classical_dim(self.kind, self.size)
-        if self.kind in _SIMPLE_DIMS:
-            return _SIMPLE_DIMS[self.kind](self.size)
-        return _EXCEPTIONAL[self.kind][0]
-
-    @property
-    def rank(self) -> int:
-        if self.kind in _CLASSICAL:
-            _check_classical_size(self.kind, self.size)
-            return _classical_rank(self.kind, self.size)
-        if self.kind in _SIMPLE_DIMS:
-            return self.size
-        return _EXCEPTIONAL[self.kind][1]
+    def __post_init__(self):
+        kind, size = self.kind, self.size
+        if kind in _CLASSICAL:
+            _check_classical_size(kind, size)
+            _store(self, _classical_dim(kind, size), _classical_rank(kind, size))
+        elif kind in _SIMPLE_DIMS:
+            _store(self, _SIMPLE_DIMS[kind](size), size)
+        elif kind in _EXCEPTIONAL:
+            _store(self, *_EXCEPTIONAL[kind])
+        else:
+            raise ValueError(f"unknown factor kind: {kind!r}")
 
     def __str__(self) -> str:
         if self.kind in ("GL", "Sp", "SO"):
@@ -142,18 +144,18 @@ class ReductiveProduct:
 
     torus_removed subtracts one central torus (dim 1, rank 1); used for
     the GL convention that a diagonal scalar acts trivially on the slice.
+    dim and rank are summed once, when the product is made.
     """
 
     factors: tuple[Factor, ...]
     torus_removed: bool = False
+    dim: int = field(init=False, compare=False, repr=False)
+    rank: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def dim(self) -> int:
-        return sum(f.dim for f in self.factors) - (1 if self.torus_removed else 0)
-
-    @property
-    def rank(self) -> int:
-        return sum(f.rank for f in self.factors) - (1 if self.torus_removed else 0)
+    def __post_init__(self):
+        torus = 1 if self.torus_removed else 0
+        _store(self, sum([f.dim for f in self.factors]) - torus,
+               sum([f.rank for f in self.factors]) - torus)
 
     def __str__(self) -> str:
         if not self.factors:
@@ -216,22 +218,27 @@ def reductive_centralizer(family: AlgebraFamily, p: Partition) -> ReductiveProdu
     return _centralizer(family, dual(p))
 
 
+@lru_cache(maxsize=256)
+def _factor(kind: str, size: int) -> Factor:
+    """The one shared Factor of a classical kind and matrix size."""
+    return Factor(kind, size)
+
+
 def _centralizer(family: AlgebraFamily, mu: Partition) -> ReductiveProduct:
     """reductive_centralizer for the valid type whose transpose is mu."""
     kind = family.kind
     m = mu.parts
+    mult = list(map(sub, m, m[1:] + (0,)))
     factors = []
-    for i, d in enumerate(map(sub, m, m[1:] + (0,)), start=1):
-        if d == 0:
-            continue
+    for i, d in compress(enumerate(mult, start=1), mult):   # only the parts present
         if kind == "GL":
-            factors.append(Factor("GL", d))
+            factors.append(_factor("GL", d))
         elif (i % 2 == 1) == (kind == "Sp"):   # Sp factors: odd i in Sp, even i in SO
             if d % 2:
                 raise AssertionError(f"odd-size Sp factor from a valid {kind} type")
-            factors.append(Factor("Sp", d))
+            factors.append(_factor("Sp", d))
         else:
-            factors.append(Factor("SO", d))
+            factors.append(_factor("SO", d))
     return ReductiveProduct(tuple(factors))
 
 

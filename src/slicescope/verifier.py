@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactlinalg import RatMatrix, Subspace, bracket, kernel, trace_form
 from .realizations import MatrixRealization
@@ -189,62 +188,3 @@ def coisotropy_check(r: MatrixRealization, seed: int,
         best = CoisotropyReport(**{**best.to_dict(), "inconclusive": True})
     return best
 
-
-def semisimplicity_probe(r: MatrixRealization, x: RatMatrix) -> bool:
-    """Squarefree minimal polynomial certificate for diagonalizability.
-
-    True iff the minimal polynomial of x over the rationals is squarefree
-    (gcd with its derivative is constant), which certifies that x is a
-    semisimple matrix; a nonzero nilpotent always fails.
-    """
-    _check_in_slice(r, x)
-    p = _minimal_polynomial(x)
-    return _is_squarefree(p)
-
-
-def _minimal_polynomial(x: RatMatrix) -> list[Fraction]:
-    """Monic minimal polynomial coefficients, lowest degree first."""
-    n = x.rows
-    power = RatMatrix.identity(n)
-    flats = [power.flatten()]
-    for _ in range(n):
-        power = power @ x
-        flats.append(power.flatten())
-        ker = kernel(RatMatrix(flats).transpose())
-        if ker.dim:
-            coeffs = list(ker.basis[0])
-            # Normalize to a monic polynomial in the top power present.
-            top = max(i for i, c in enumerate(coeffs) if c != 0)
-            inv = Fraction(1) / coeffs[top]
-            return [c * inv for c in coeffs[:top + 1]]
-    raise AssertionError("no linear dependence among matrix powers")
-
-
-def _poly_derivative(p: list[Fraction]) -> list[Fraction]:
-    return [i * c for i, c in enumerate(p)][1:] or [Fraction(0)]
-
-
-def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = a[:]
-    while len(a) >= len(b) and any(c != 0 for c in a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] -= factor * c
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a or [Fraction(0)]
-
-
-def _is_squarefree(p: list[Fraction]) -> bool:
-    if len(p) <= 2:
-        return True  # constants and linear polynomials
-    a, b = p, _poly_derivative(p)
-    while any(c != 0 for c in b):
-        a, b = b, _poly_mod(a, b)
-    return len(a) == 1  # gcd is a nonzero constant

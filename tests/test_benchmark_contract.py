@@ -2,11 +2,14 @@
 
 A traced benchmark run wraps every function that ``perfbench/spans.py``
 names and fails when one is missing or a required stage records no
-calls.  These tests run the same resolution and one traced round, so a
-rename or a skipped stage fails here first.  perfbench/ is only read.
+calls.  These tests run the same resolution, one traced verify round, and
+the classify-sweep stages in process, so a rename or a skipped stage fails
+here first.  perfbench/ is only read.
 """
 
+import contextlib
 import importlib
+import io
 import json
 import subprocess
 import sys
@@ -29,6 +32,32 @@ def test_every_traced_target_resolves(monkeypatch):
         tracer.uninstall()
     assert {name for _, _, name, _ in spans.TARGETS} <= set(tracer.sites)
     assert {name: dict(vars(mod)) for name, mod in modules.items()} == before
+
+
+def test_classify_sweep_spans_run_in_process(monkeypatch):
+    """Small classify and sweep commands touch exactly the spans classify-sweep names.
+
+    A full traced classify-sweep round takes about 20 s; these three
+    commands reach the same stages in well under a second.
+    """
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    run = importlib.import_module("run")
+    workload = importlib.import_module("workloads").ClassifySweep
+    modules = {name: importlib.import_module(f"slicescope.{name}") for name in run.MODULES}
+    tracer = spans.Tracer()
+    tracer.install(modules)
+    try:
+        for argv in (["classify", "--family", "gl", "--rank", "8"],
+                     ["classify", "--family", "so", "--size", "9"],
+                     ["sweep", "--family", "sp", "--n-max", "8"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert modules["cli"].main(argv) == 0, argv
+    finally:
+        tracer.uninstall()
+    calls, _ = tracer.totals()
+    assert [name for name in workload.must_run if not calls[name]] == []
+    assert [name for name in workload.must_not_run if calls[name]] == []
 
 
 def test_one_traced_verify_round_passes():

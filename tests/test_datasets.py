@@ -26,6 +26,8 @@ def test_parse_centralizer_rejects_garbage():
         parse_centralizer("A")          # missing rank
     with pytest.raises(TableError):
         parse_centralizer("A1*B2")      # wrong separator
+    with pytest.raises(TableError, match=r"bad centralizer factor 'Sp3': Sp needs an even"):
+        parse_centralizer("Sp3")        # Sp of odd matrix size
 
 
 def test_builtin_g2_table():
@@ -84,3 +86,8 @@ def test_load_table_errors(tmp_path):
     bad_dim.write_text("0\tsix\tA1\n", encoding="utf-8")
     with pytest.raises(TableError):
         load_table(bad_dim, exceptional("G2"))
+
+    odd_sp = tmp_path / "odd_sp.tsv"
+    odd_sp.write_text("label\tdim\tcentralizer\n0\t0\tG2\nx\t6\tSp3\n", encoding="utf-8")
+    with pytest.raises(TableError, match=r"odd_sp.tsv:3: bad centralizer factor 'Sp3'"):
+        load_table(odd_sp, exceptional("G2"))

@@ -1,8 +1,10 @@
+import dataclasses
+
 import pytest
 
 from slicescope import liealg
-from slicescope.liealg import (Factor, ReductiveProduct, TRIVIAL_PRODUCT,
-                               effective_centralizer, gl,
+from slicescope.liealg import (AlgebraFamily, Factor, ReductiveProduct,
+                               TRIVIAL_PRODUCT, effective_centralizer, gl,
                                is_regular_type, is_very_even_type,
                                is_zero_type, odd_part_count, orbit_datum,
                                orbit_dim, reductive_centralizer, slice_dim,
@@ -42,11 +44,51 @@ def test_classical_factor_matches_its_family():
         for size in range(0, 13, 1 if kind != "Sp" else 2):
             f, g = Factor(kind, size), make(size)
             assert (f.dim, f.rank, str(f)) == (g.dim, g.rank, str(g))
-    for bad in (Factor("Sp", 3), Factor("GL", -1)):
-        with pytest.raises(ValueError):
-            bad.dim
-        with pytest.raises(ValueError):
-            bad.rank
+    # A bad size is refused when the factor is made, as for a family.
+    with pytest.raises(ValueError, match="even matrix size"):
+        Factor("Sp", 3)
+    with pytest.raises(ValueError, match="negative matrix size"):
+        Factor("GL", -1)
+
+
+def test_stored_dims_keep_the_dataclass_contract():
+    assert gl(3) == AlgebraFamily("GL", 3)
+    assert hash(gl(3)) == hash(AlgebraFamily("GL", 3))
+    assert repr(gl(3)) == "AlgebraFamily(kind='GL', size=3)"
+    assert dataclasses.replace(gl(3), size=4).dim == 16
+    assert Factor("Sp", 4) == Factor("Sp", 4) and str(Factor("Sp", 4)) == "Sp(4)"
+    assert ReductiveProduct((Factor("GL", 2),)) != ReductiveProduct((Factor("GL", 2),), True)
+
+
+def _closed_form(kind, d):
+    """(dim, rank) of GL(d), Sp(d) or SO(d) for a matrix size d."""
+    if kind == "GL":
+        return d * d, d
+    if kind == "Sp":
+        return d * (d + 1) // 2, d // 2
+    return d * (d - 1) // 2, d // 2
+
+
+def test_stored_centralizer_dims_match_closed_forms():
+    """Q is GL(d_i) in gl; Sp(d_i) at odd i in sp and at even i in so; else SO(d_i)."""
+    families = [make(n) for n in range(1, 21)
+                for kind, make in (("GL", gl), ("Sp", sp), ("SO", so))
+                if kind != "Sp" or n % 2 == 0]
+    for fam in families:
+        for p in valid_jordan_types(fam.kind, fam.size):
+            dim = rank = 0
+            for i, d in multiplicities(p).items():
+                if fam.kind == "GL":
+                    kind = "GL"
+                else:
+                    kind = "Sp" if (i % 2 == 1) == (fam.kind == "Sp") else "SO"
+                fd, fr = _closed_form(kind, d)
+                dim, rank = dim + fd, rank + fr
+            o = orbit_datum(fam, p)
+            assert (o.centralizer.dim, o.centralizer.rank) == (dim, rank), (fam, p)
+            torus = 1 if fam.kind == "GL" else 0
+            assert (o.effective_centralizer.dim, o.effective_centralizer.rank) == \
+                (dim - torus, rank - torus), (fam, p)
 
 
 def test_slice_dim_examples():

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from slicescope.classifier import classify, predicted_coisotropy
@@ -7,8 +5,7 @@ from slicescope.exactlinalg import RatMatrix
 from slicescope.liealg import gl, hook_family, orbit_datum
 from slicescope.realizations import build_case, classical_triple
 from slicescope.verifier import (SliceError, coisotropy_check, omega_gram,
-                                 orbit_tangent, point_at_e,
-                                 semisimplicity_probe, slice_point,
+                                 orbit_tangent, point_at_e, slice_point,
                                  stabilizer_dim)
 from slicescope.partitions import Partition, valid_jordan_types
 
@@ -112,18 +109,3 @@ def test_report_serializes():
     assert set(d) == {"case", "seed", "dim_ambient", "omega_rank", "dim_W",
                       "dim_W_perp", "contained", "dim_intersection",
                       "stabilizer_dim", "inconclusive"}
-
-
-def test_semisimplicity_probe():
-    r = build_case("gl4-hook1")
-    # e is nilpotent and nonzero: never semisimple.
-    assert not semisimplicity_probe(r, point_at_e(r).x)
-    # A generic slice point is regular semisimple.
-    assert semisimplicity_probe(r, slice_point(r, 1).x)
-
-
-def test_semisimplicity_probe_diagonalizable_with_repeats():
-    r = classical_triple(gl(2), Partition((1, 1)))
-    # The zero nilpotent: every slice point is the point itself; x = 0 is
-    # semisimple (minimal polynomial t).
-    assert semisimplicity_probe(r, point_at_e(r).x)
