@@ -14,7 +14,7 @@ from enum import Enum
 from operator import mul, sub
 
 from .datasets import ExceptionalOrbitTable
-from .liealg import (AlgebraFamily, OrbitDatum, ReductiveProduct, hook_family,
+from .liealg import (AlgebraFamily, OrbitDatum, ReductiveProduct,
                      is_regular_type, is_very_even_type, is_zero_type,
                      orbit_datum)
 from .partitions import Partition, hook_parameters, valid_jordan_types
@@ -115,7 +115,7 @@ def reduced_inequality(family_kind: str, mu: Partition) -> bool:
 
 def _via(kind: str, parts: tuple[int, ...], tag: str = "") -> NonHookCase:
     target_type = Partition(parts)
-    target = hook_family(kind, target_type)
+    target = AlgebraFamily(kind, target_type.n)
     return NonHookCase(Status.HYPERSPHERICAL_VIA_ISOMORPHISM,
                        f"{target_type} in {target}{tag}", (target, target_type))
 
@@ -135,12 +135,6 @@ NON_HOOK_CASES: dict[tuple[str, tuple[int, ...]], NonHookCase] = {
     ("SO", (4, 4)): _via("SO", (5, 1, 1, 1), " (triality)"),
     ("SO", (2, 2, 2, 2)): _via("SO", (3, 1, 1, 1, 1), " (triality)"),
 }
-
-
-def iso_image(family_kind: str, p: Partition) -> tuple[AlgebraFamily, Partition] | None:
-    """Hook image of an exceptional classical type, if there is one."""
-    case = NON_HOOK_CASES.get((family_kind, p.parts))
-    return case.image if case is not None else None
 
 
 def classify(o: OrbitDatum) -> Verdict:
@@ -242,7 +236,7 @@ def sweep_inequality_proof(family_kind: str, n_max: int) -> SweepReport:
         types = valid_jordan_types(family_kind, n)
         if not types:
             continue
-        family = hook_family(family_kind, types[0])
+        family = AlgebraFamily(family_kind, n)
         for p in types:
             o = orbit_datum(family, p)
             direct = necessary_bound(o).slack > 0

@@ -18,7 +18,7 @@ import sys
 from . import classifier, datasets, liealg, realizations, superdual, verifier
 from .classifier import HYPERSPHERICAL_STATUSES, Status, Verdict
 from .liealg import AlgebraFamily
-from .partitions import Partition, parse_partition
+from .partitions import parse_partition
 
 _COLUMNS = ["family", "rank", "jordan_type", "dual", "slice_dim", "q_factors",
             "lhs", "rhs", "slack", "status", "sdual"]
@@ -153,6 +153,10 @@ def cmd_dual(args, out) -> int:
 def _realization(args) -> realizations.MatrixRealization:
     """The matrix model named by --case or by --family/--partition."""
     if args.case:
+        given = (args.family, args.partition, args.size, args.rank)
+        if any(x is not None for x in given) or args.rank_from_partition:
+            raise UsageError("--case takes no --family, --partition, --size, "
+                             "--rank or --rank-from-partition")
         return realizations.build_case(args.case)
     if not args.partition:
         raise UsageError("verify needs --case or --family/--partition")
@@ -162,8 +166,6 @@ def _realization(args) -> realizations.MatrixRealization:
     if args.size is None and args.rank is None:
         args.rank_from_partition = True   # size the algebra from the partition
     family = _family_from_args(args, n_from_partition=p.n)
-    if family.size != p.n:
-        raise UsageError(f"{p} does not fit {family}")
     return realizations.classical_triple(family, p)
 
 
@@ -197,6 +199,9 @@ def cmd_scan(args, out) -> int:
         if not args.algebra:
             raise UsageError("--data needs --algebra (G2|F4|E6|E7|E8)")
         table = datasets.load_table(args.data, liealg.exceptional(args.algebra))
+    elif args.algebra not in (None, "G2"):
+        raise UsageError(f"--algebra {args.algebra} needs --data "
+                         "(only the G2 table is built in)")
     else:
         table = datasets.builtin_g2()
     rows = classifier.scan_exceptional(table)

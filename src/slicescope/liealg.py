@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import compress
 from operator import mul, sub
 
-from .partitions import Partition, dual, hook_parameters, is_valid_jordan_type
+from .partitions import Partition, dual, is_valid_jordan_type
 
 _EXCEPTIONAL = {  # kind -> (dim, rank)
     "G2": (14, 2),
@@ -306,22 +306,11 @@ def orbit_datum(family: AlgebraFamily, p: Partition) -> OrbitDatum:
     )
 
 
-def hook_family(family_kind: str, jordan_type: Partition) -> AlgebraFamily:
-    """The ambient family an n x n Jordan type lives in."""
-    if family_kind == "GL":
-        return gl(jordan_type.n)
-    if family_kind == "Sp":
-        return sp(jordan_type.n)
-    if family_kind == "SO":
-        return so(jordan_type.n)
-    raise ValueError(f"unknown family kind: {family_kind!r}")
-
-
 __all__ = [
     "AlgebraFamily", "Factor", "ReductiveProduct", "OrbitDatum",
     "TRIVIAL_PRODUCT",
     "gl", "sp", "so", "exceptional",
     "slice_dim", "reductive_centralizer", "effective_centralizer",
     "orbit_dim", "orbit_datum", "odd_part_count",
-    "is_regular_type", "is_zero_type", "is_very_even_type", "hook_family",
+    "is_regular_type", "is_zero_type", "is_very_even_type",
 ]

@@ -33,10 +33,6 @@ class Partition:
             if i and parts[i - 1] < p:
                 raise ValueError(f"parts must be weakly decreasing: {parts}")
 
-    @classmethod
-    def of(cls, *parts: int) -> "Partition":
-        return cls(tuple(parts))
-
     @property
     def n(self) -> int:
         return sum(self.parts)

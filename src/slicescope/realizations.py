@@ -18,8 +18,7 @@ from fractions import Fraction
 from . import liealg
 from .exactlinalg import RatMatrix, Subspace, bracket, kernel
 from .liealg import AlgebraFamily
-from .partitions import (Partition, hook_parameters, is_valid_jordan_type,
-                         multiplicities)
+from .partitions import Partition, hook_parameters, multiplicities
 
 
 class RealizationError(ValueError):
@@ -220,23 +219,23 @@ def classical_triple(family: AlgebraFamily, p: Partition) -> MatrixRealization:
     """
     n = p.n
     label = f"{family.kind.lower()}{n}-{'.'.join(map(str, p.parts))}"
-    if family.kind not in ("GL", "Sp", "SO"):
-        raise RealizationError(f"no matrix realization for {family}")
-    if family.size != n:
-        raise RealizationError(f"{p} does not fit {family}")
+    try:
+        o = liealg.orbit_datum(family, p)
+    except ValueError as exc:
+        raise RealizationError(str(exc))
     if n > MAX_REALIZATION_SIZE:
         raise RealizationError(f"matrix realizations are capped at size "
                                f"{MAX_REALIZATION_SIZE}, {family} has size {n}")
-    if not is_valid_jordan_type(p, family.kind):
-        raise RealizationError(f"{p} is not a valid {family.kind} Jordan type")
-    o = liealg.orbit_datum(family, p)
 
-    # (part size, multiplicity, form on the multiplicity space or None)
+    # (part size, multiplicity, form on the multiplicity space or None), from
+    # the largest part down.  The centralizer's factors, one per distinct
+    # part from the smallest up, name the forms.
     blocks: list[tuple[int, int, RatMatrix | None]] = []
-    for i, d in multiplicities(p).items():
-        if family.kind == "GL":
+    for (i, d), factor in zip(multiplicities(p).items(),
+                              reversed(o.centralizer.factors), strict=True):
+        if factor.kind == "GL":
             form_m = None
-        elif (i % 2 == 1) == (family.kind == "SO"):
+        elif factor.kind == "SO":
             form_m = RatMatrix.identity(d)
         else:
             form_m = _standard_symplectic(d)
@@ -316,47 +315,6 @@ def weight_space_dims(r: MatrixRealization, cartan: RatMatrix,
     if sum(dims.values()) != r.dim_zf:
         raise RealizationError("weights do not exhaust z(f)")
     return dims
-
-
-def hook_L_subspace(r: MatrixRealization) -> Subspace:
-    """The distinguished tautological submodule of z(f) for a hook.
-
-    Spanned by maps sending the highest weight vector into the complement
-    W and W into the lowest weight line; k-dimensional for the form-
-    preserving families (with the form-compatibility constraint), and
-    2k-dimensional (W plus its dual) for gl.
-    """
-    if not r.is_hook:
-        raise RealizationError(f"{r.label} is not a hook realization")
-    m = r.jordan_type.parts[0]
-    k = len(r.jordan_type.parts) - 1
-    n = r.n_ambient
-    mats: list[RatMatrix] = []
-    if r.gram is None:
-        for a in range(k):
-            mats.append(_unit(n, m + a, 0))      # u_1 -> w_a
-        for b in range(k):
-            mats.append(_unit(n, m - 1, m + b))  # w_b -> u_m
-    else:
-        for a in range(k):
-            xi = _unit(n, m + a, 0)
-            for b in range(k):
-                c = -r.gram[m + a, m + b]
-                if c:
-                    xi = xi + _unit(n, m - 1, m + b).scale(c)
-            if not _preserves(xi, r.gram):
-                raise RealizationError("L element leaves the algebra")
-            mats.append(xi)
-    for xi in mats:
-        if not bracket(r.f, xi).is_zero():
-            raise RealizationError("L element fails to centralize f")
-    sub = Subspace(n * n, [xi.flatten() for xi in mats])
-    if not r.zf_subspace().contains(sub):
-        raise RealizationError("L is not inside z(f)")
-    expected = 2 * k if r.gram is None else k
-    if sub.dim != expected:
-        raise RealizationError(f"dim L = {sub.dim}, expected {expected}")
-    return sub
 
 
 def build_case(label: str) -> MatrixRealization:

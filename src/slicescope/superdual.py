@@ -20,7 +20,7 @@ from .partitions import Partition, hook_parameters
 class SuperAlgebra:
     """One basic classical Lie superalgebra with its dimension data."""
 
-    family: str     # "gl", "osp", "f4", "g3", "D21a"
+    family: str     # "gl", "osp", "f4", "g3"
     m: int = 0      # gl(n|k): n; osp(m|2n): m
     n: int = 0      # gl(n|k): k; osp(m|2n): 2n (the symplectic size)
 
@@ -41,8 +41,6 @@ class SuperAlgebra:
             return 24   # sl2 + so7
         if self.family == "g3":
             return 17   # sl2 + g2
-        if self.family == "D21a":
-            return 9    # three copies of sl2
         raise ValueError(self.family)
 
     @property
@@ -55,8 +53,6 @@ class SuperAlgebra:
             return 16
         if self.family == "g3":
             return 14
-        if self.family == "D21a":
-            return 8
         raise ValueError(self.family)
 
     def __str__(self) -> str:
@@ -64,7 +60,7 @@ class SuperAlgebra:
             return f"gl({self.m}|{self.n})"
         if self.family == "osp":
             return f"osp({self.m}|{self.n})"
-        return {"f4": "f(4)", "g3": "g(3)", "D21a": "D(2,1;a)"}[self.family]
+        return {"f4": "f(4)", "g3": "g(3)"}[self.family]
 
 
 @dataclass(frozen=True)
@@ -168,52 +164,3 @@ def check_even_part(sd: DualAssignment, v: Verdict) -> EvenPartCheck:
     expected = v.orbit.family.dim + v.orbit.effective_centralizer.dim
     return EvenPartCheck(applicable=True, matches=alg.dim_even == expected,
                          dim_even=alg.dim_even, dim_expected=expected)
-
-
-@dataclass(frozen=True)
-class NamedCase:
-    """Extended slice cases that go beyond a pure orbit datum."""
-
-    name: str
-    description: str
-    dual: DualAssignment
-
-
-def special_cases(n: int) -> list[NamedCase]:
-    """The named extended duals at a given rank n."""
-    cases = [
-        NamedCase(
-            "mirabolic",
-            f"GL({n}) x GL({n}) acting on T*(GL({n}) x C^{n})",
-            DualAssignment(str(SuperAlgebra("gl", n, n)),
-                           (SuperAlgebra("gl", n, n),), provenance="proved"),
-        ),
-        NamedCase(
-            "gelfand-tsetlin-gl",
-            f"GL({n}) x GL({n - 1}) acting on T*GL({n})",
-            DualAssignment(str(SuperAlgebra("gl", n, n - 1)),
-                           (SuperAlgebra("gl", n, n - 1),), provenance="proved"),
-        ),
-        NamedCase(
-            "sp-extension",
-            f"Sp({2 * n}) x Sp({2 * n}) acting on (T*Sp({2 * n})) x C^{2 * n}",
-            DualAssignment(str(SuperAlgebra("osp", 2 * n + 1, 2 * n)),
-                           (SuperAlgebra("osp", 2 * n + 1, 2 * n),),
-                           provenance="proved"),
-        ),
-        NamedCase(
-            "gelfand-tsetlin-so-even",
-            f"SO({2 * n}) x SO({2 * n - 1}) acting on T*SO({2 * n})",
-            DualAssignment(str(SuperAlgebra("osp", 2 * n, 2 * n - 2)),
-                           (SuperAlgebra("osp", 2 * n, 2 * n - 2),),
-                           provenance="proved"),
-        ),
-        NamedCase(
-            "gelfand-tsetlin-so-odd",
-            f"SO({2 * n + 1}) x SO({2 * n}) acting on T*SO({2 * n + 1})",
-            DualAssignment(str(SuperAlgebra("osp", 2 * n, 2 * n)),
-                           (SuperAlgebra("osp", 2 * n, 2 * n),),
-                           provenance="proved"),
-        ),
-    ]
-    return cases

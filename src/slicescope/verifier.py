@@ -44,10 +44,6 @@ def slice_point(r: MatrixRealization, seed: int) -> SlicePoint:
     return SlicePoint(r, x, seed, coeffs)
 
 
-def point_at_e(r: MatrixRealization) -> SlicePoint:
-    return SlicePoint(r, r.e, seed=-1, coefficients=(0,) * r.dim_zf)
-
-
 def _check_in_slice(r: MatrixRealization, x: RatMatrix) -> None:
     if not r.zf_subspace().member((x - r.e).flatten()):
         raise SliceError("point is not on the slice")

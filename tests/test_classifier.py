@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slicescope import classifier
-from slicescope.classifier import (EXPECTED_EXCEPTIONS, Status, classify,
-                                   enumerate_and_classify, iso_image,
+from slicescope.classifier import (EXPECTED_EXCEPTIONS, NON_HOOK_CASES, Status,
+                                   classify, enumerate_and_classify,
                                    necessary_bound, reduced_inequality,
                                    sweep_inequality_proof)
 from slicescope.liealg import gl, orbit_datum, so, sp
@@ -93,12 +93,12 @@ def test_reduced_inequality_examples():
         reduced_inequality("XX", Partition((1,)))
 
 
-def test_iso_image_table():
-    fam, p = iso_image("Sp", Partition((2, 2)))
+def test_non_hook_case_images():
+    fam, p = NON_HOOK_CASES["Sp", (2, 2)].image
     assert (fam.kind, fam.size, p.parts) == ("SO", 5, (3, 1, 1))
-    fam, p = iso_image("SO", Partition((3, 3)))
+    fam, p = NON_HOOK_CASES["SO", (3, 3)].image
     assert (fam.kind, fam.size, p.parts) == ("GL", 4, (3, 1))
-    assert iso_image("GL", Partition((3, 2))) is None
+    assert ("GL", (3, 2)) not in NON_HOOK_CASES
 
 
 @pytest.mark.parametrize("kind", ["GL", "Sp", "SO"])

@@ -216,6 +216,13 @@ def test_usage_errors_exit_2(capsys):
     for argv in (["--family", "gl", "--partition", "13"], ["--case", "so13-hook2"]):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and "usage error" in err and "size 12" in err and not out
+    # --case names the whole model, so family arguments beside it are refused
+    for argv in (["--family", "gl", "--partition", "3,2"], ["--size", "9"]):
+        code, out, err = run(capsys, "verify", "--case", "sp6-33", *argv)
+        assert code == 2 and "usage error" in err and not out
+    # only the G2 table is built in; another algebra needs its own --data
+    code, out, err = run(capsys, "scan", "--algebra", "F4")
+    assert code == 2 and "usage error" in err and not out
 
 
 def test_missing_subcommand_is_an_argparse_error(capsys):

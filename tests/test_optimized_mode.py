@@ -20,6 +20,30 @@ def test_package_has_no_assert_statements():
     assert not found, f"bare asserts vanish under python -O: {found}"
 
 
+def test_package_has_no_unused_imports():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    imported[name] = node.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exported = {elt.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in node.targets)
+                    for elt in node.value.elts}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read and name not in exported]
+    assert not unused, f"imported but never read: {unused}"
+
+
 def test_verify_under_python_O_matches_in_process(capsys):
     argv = ["verify", "--case", "sp6-33", "--seed", "0"]
     code = main(argv)

@@ -4,11 +4,12 @@ import json
 import pytest
 
 from slicescope.exactlinalg import RatMatrix, bracket
-from slicescope.liealg import effective_centralizer, gl, slice_dim, so, sp
+from slicescope.liealg import (effective_centralizer, exceptional, gl, slice_dim,
+                               so, sp)
 from slicescope.partitions import Partition
 from slicescope.realizations import (RealizationError, _sl2_on_jordan_block,
                                      build_algebra, build_case, classical_triple,
-                                     hook_L_subspace, invariant_form_on_block,
+                                     invariant_form_on_block,
                                      sp6_q_cartan, weight_space_dims)
 
 
@@ -107,6 +108,10 @@ def test_classical_triple_rejects_bad_input():
         classical_triple(sp(6), Partition((3, 1, 1, 1)))   # odd big part for Sp
     with pytest.raises(RealizationError):
         classical_triple(so(6), Partition((4, 1, 1)))      # even big part for SO
+    with pytest.raises(RealizationError):
+        classical_triple(exceptional("G2"), Partition((2,)))   # not classical
+    with pytest.raises(RealizationError):
+        classical_triple(gl(4), Partition((3, 2)))         # does not fit gl(4)
 
 
 def test_sp6_33_realization():
@@ -130,21 +135,6 @@ def test_weight_space_dims_must_exhaust():
     r = build_case("sp6-33")
     with pytest.raises(RealizationError):
         weight_space_dims(r, sp6_q_cartan(), (0,))
-
-
-def test_hook_L_dimensions():
-    assert hook_L_subspace(build_case("gl5-hook2")).dim == 4
-    assert hook_L_subspace(build_case("so7-hook2")).dim == 2
-    assert hook_L_subspace(build_case("sp6-hook2")).dim == 2
-    with pytest.raises(RealizationError):
-        hook_L_subspace(classical_triple(gl(5), Partition((3, 2))))
-
-
-def test_hook_L_inside_zf():
-    for label in ("gl4-hook1", "sp4-hook2", "so7-hook4"):
-        r = build_case(label)
-        sub = hook_L_subspace(r)
-        assert r.zf_subspace().contains(sub)
 
 
 def test_zf_elements_centralize_f():

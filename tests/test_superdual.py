@@ -4,8 +4,7 @@ from slicescope.classifier import Status, classify, enumerate_and_classify
 from slicescope.liealg import gl, orbit_datum, so, sp
 from slicescope.partitions import Partition
 from slicescope.superdual import (DualAssignment, NoDualError, SuperAlgebra,
-                                  check_even_part, g2_short_root_dual, s_dual,
-                                  special_cases)
+                                  check_even_part, g2_short_root_dual, s_dual)
 
 
 def _dual_of(fam, parts):
@@ -18,7 +17,6 @@ def test_superalgebra_dimensions():
     assert (SuperAlgebra("osp", 7, 4).dim_even, SuperAlgebra("osp", 7, 4).dim_odd) == (31, 28)
     assert (SuperAlgebra("f4").dim_even, SuperAlgebra("f4").dim_odd) == (24, 16)
     assert (SuperAlgebra("g3").dim_even, SuperAlgebra("g3").dim_odd) == (17, 14)
-    assert (SuperAlgebra("D21a").dim_even, SuperAlgebra("D21a").dim_odd) == (9, 8)
     with pytest.raises(ValueError):
         SuperAlgebra("osp", 3, 3)
 
@@ -106,13 +104,3 @@ def test_check_even_part_not_applicable_for_osp():
     v = classify(orbit_datum(so(7), Partition((5, 1, 1))))
     chk = check_even_part(s_dual(v), v)
     assert not chk.applicable and chk.matches is None
-
-
-def test_special_cases_catalog():
-    cases = {c.name: c for c in special_cases(4)}
-    assert str(cases["mirabolic"].dual) == "gl(4|4)"
-    assert str(cases["gelfand-tsetlin-gl"].dual) == "gl(4|3)"
-    assert str(cases["sp-extension"].dual) == "osp(9|8)"
-    assert str(cases["gelfand-tsetlin-so-even"].dual) == "osp(8|6)"
-    assert str(cases["gelfand-tsetlin-so-odd"].dual) == "osp(8|8)"
-    assert all(c.dual.provenance == "proved" for c in cases.values())

@@ -2,11 +2,10 @@ import pytest
 
 from slicescope.classifier import classify, predicted_coisotropy
 from slicescope.exactlinalg import RatMatrix
-from slicescope.liealg import gl, hook_family, orbit_datum
+from slicescope.liealg import AlgebraFamily, gl, orbit_datum
 from slicescope.realizations import build_case, classical_triple
 from slicescope.verifier import (SliceError, coisotropy_check, omega_gram,
-                                 orbit_tangent, point_at_e, slice_point,
-                                 stabilizer_dim)
+                                 orbit_tangent, slice_point, stabilizer_dim)
 from slicescope.partitions import Partition, valid_jordan_types
 
 
@@ -36,7 +35,7 @@ def test_regular_orbit_rank_at_e():
     # Regular (2) in the 2x2 general linear case: omega at x = e already
     # has full rank dim g + slice dim = 4 + 2 = 6.
     r = classical_triple(gl(2), Partition((2,)))
-    gram = omega_gram(r, point_at_e(r).x)
+    gram = omega_gram(r, r.e)
     assert gram.rows == 6
     assert gram.rank() == 6
 
@@ -44,7 +43,7 @@ def test_regular_orbit_rank_at_e():
 def test_orbit_tangent_at_e_is_g_only():
     # q centralizes e, so the orbit directions at x = e are just g.
     r = build_case("so7-hook2")
-    w = orbit_tangent(r, point_at_e(r).x)
+    w = orbit_tangent(r, r.e)
     assert w.dim == r.dim_g
     assert stabilizer_dim(r, r.e) == r.dim_q
 
@@ -92,7 +91,7 @@ def test_every_small_type_agrees_with_the_classifier():
     for kind in ("GL", "Sp", "SO"):
         for n in range(1, 9):
             for p in valid_jordan_types(kind, n):
-                family = hook_family(kind, p)
+                family = AlgebraFamily(kind, n)
                 rep = coisotropy_check(classical_triple(family, p), 0)
                 assert not rep.inconclusive, (kind, p)
                 predicted = predicted_coisotropy(classify(orbit_datum(family, p)))
