@@ -123,14 +123,18 @@ def cmd_classify(args, out) -> int:
     return 0
 
 
-def cmd_check(args, out) -> int:
+def _orbit(args) -> liealg.OrbitDatum:
+    """The orbit named by --family/--partition; a type that does not fit is bad input."""
     p = parse_partition(args.partition)
     family = _family_from_args(args, n_from_partition=p.n)
     try:
-        o = liealg.orbit_datum(family, p)
+        return liealg.orbit_datum(family, p)
     except ValueError as exc:
         raise UsageError(str(exc))
-    v = classifier.classify(o)
+
+
+def cmd_check(args, out) -> int:
+    v = classifier.classify(_orbit(args))
     _emit_records([_verdict_record(v)], args.format, out)
     if args.format == "pretty":
         _pretty_identity(v, out)
@@ -138,9 +142,7 @@ def cmd_check(args, out) -> int:
 
 
 def cmd_dual(args, out) -> int:
-    p = parse_partition(args.partition)
-    family = _family_from_args(args, n_from_partition=p.n)
-    v = classifier.classify(liealg.orbit_datum(family, p))
+    v = classifier.classify(_orbit(args))
     try:
         dual = superdual.s_dual(v)
     except superdual.NoDualError as exc:
@@ -177,7 +179,7 @@ def cmd_verify(args, out) -> int:
         return 1
     except realizations.RealizationError as exc:
         raise UsageError(str(exc))
-    v = classifier.classify(liealg.orbit_datum(r.family, r.jordan_type))
+    v = classifier.classify(r.orbit)
     predicted = classifier.predicted_coisotropy(v)
     rep = verifier.coisotropy_check(r, args.seed, predicted.get("stabilizer_dim", 0))
     record = rep.to_dict()

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .liealg import (AlgebraFamily, Factor, ReductiveProduct, TRIVIAL_PRODUCT,
-                     exceptional)
+from .liealg import AlgebraFamily, ReductiveProduct, TRIVIAL_PRODUCT, exceptional
 
 
 class TableError(ValueError):
@@ -38,12 +37,12 @@ def parse_centralizer(text: str) -> ReductiveProduct:
             raise TableError(f"bad centralizer factor: {token!r}")
         kind, num = m.group(1), m.group(2)
         if kind in ("G2", "F4", "E6", "E7", "E8"):
-            factors.append(Factor(kind))
+            factors.append(AlgebraFamily(kind))
         elif kind in ("A", "B", "C", "D", "T", "GL", "Sp", "SO"):
             if not num:
                 raise TableError(f"factor {token!r} needs a size")
             try:
-                factors.append(Factor(kind, int(num)))
+                factors.append(AlgebraFamily(kind, int(num)))
             except ValueError as exc:
                 raise TableError(f"bad centralizer factor {token!r}: {exc}") from None
         else:

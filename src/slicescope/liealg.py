@@ -1,9 +1,9 @@
 """Dimension and rank arithmetic for reductive groups and nilpotent orbits.
 
-Covers the classical families GL(n), Sp(2n), SO(m) and the exceptional
-types, slice dimensions of nilpotent orbits from the transpose of the
-Jordan type, and the reductive centralizer of an sl2-triple as a formal
-product of classical factors.
+Covers the classical families GL(n), Sp(2n), SO(m), the simple types and
+the exceptional types as one group type, and the orbit datum of a Jordan
+type: its transpose, slice and orbit dimensions, and the reductive
+centralizer of an sl2-triple as a formal product of classical factors.
 """
 
 from __future__ import annotations
@@ -51,50 +51,8 @@ def _store(obj, dim: int, rank: int) -> None:
     object.__setattr__(obj, "rank", rank)
 
 
-@dataclass(frozen=True)
-class AlgebraFamily:
-    """GL(n) / Sp(2n) / SO(m) with matrix size, or an exceptional type.
-
-    dim and rank are computed once, when the family is made.
-    """
-
-    kind: str   # "GL", "Sp", "SO", or an exceptional label
-    size: int = 0  # matrix size for classical kinds, unused otherwise
-    dim: int = field(init=False, compare=False, repr=False)
-    rank: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        kind, size = self.kind, self.size
-        if kind in _CLASSICAL:
-            _check_classical_size(kind, size)
-            _store(self, _classical_dim(kind, size), _classical_rank(kind, size))
-        elif kind in _EXCEPTIONAL:
-            _store(self, *_EXCEPTIONAL[kind])
-        else:
-            raise ValueError(f"unknown family kind: {kind!r}")
-
-    def __str__(self) -> str:
-        if self.kind in ("GL", "Sp", "SO"):
-            return f"{self.kind}({self.size})"
-        return self.kind
-
-
-def gl(n: int) -> AlgebraFamily:
-    return AlgebraFamily("GL", n)
-
-def sp(size: int) -> AlgebraFamily:
-    """Sp of the given (even) matrix size, i.e. sp(size) has rank size/2."""
-    return AlgebraFamily("Sp", size)
-
-def so(size: int) -> AlgebraFamily:
-    return AlgebraFamily("SO", size)
-
-def exceptional(kind: str) -> AlgebraFamily:
-    return AlgebraFamily(kind)
-
-
 # Simple-type dimension table used by exceptional orbit data: size is the
-# Lie rank for A/B/C/D/T factors.
+# Lie rank for A/B/C/D/T kinds.
 _SIMPLE_DIMS = {
     "A": lambda r: r * (r + 2),
     "B": lambda r: r * (2 * r + 1),
@@ -105,12 +63,12 @@ _SIMPLE_DIMS = {
 
 
 @dataclass(frozen=True)
-class Factor:
-    """One factor of a reductive product.
+class AlgebraFamily:
+    """A reductive group type: an ambient algebra or a centralizer factor.
 
-    kind "GL"/"Sp"/"SO" carries a matrix size; kinds "A".."D" and "T"
+    Kinds "GL"/"Sp"/"SO" carry a matrix size; kinds "A".."D" and "T"
     carry a Lie rank; exceptional labels carry nothing.  dim and rank are
-    computed once, when the factor is made.
+    computed once, when the family is made.
     """
 
     kind: str
@@ -128,14 +86,30 @@ class Factor:
         elif kind in _EXCEPTIONAL:
             _store(self, *_EXCEPTIONAL[kind])
         else:
-            raise ValueError(f"unknown factor kind: {kind!r}")
+            raise ValueError(f"unknown family kind: {kind!r}")
 
     def __str__(self) -> str:
-        if self.kind in ("GL", "Sp", "SO"):
+        if self.kind in _CLASSICAL:
             return f"{self.kind}({self.size})"
         if self.kind in _SIMPLE_DIMS:
             return f"{self.kind}{self.size}"
         return self.kind
+
+
+def gl(n: int) -> AlgebraFamily:
+    return AlgebraFamily("GL", n)
+
+def sp(size: int) -> AlgebraFamily:
+    """Sp of the given (even) matrix size, i.e. sp(size) has rank size/2."""
+    return AlgebraFamily("Sp", size)
+
+def so(size: int) -> AlgebraFamily:
+    return AlgebraFamily("SO", size)
+
+def exceptional(kind: str) -> AlgebraFamily:
+    if kind not in _EXCEPTIONAL:
+        raise ValueError(f"unknown exceptional kind: {kind!r}")
+    return AlgebraFamily(kind)
 
 
 @dataclass(frozen=True)
@@ -147,7 +121,7 @@ class ReductiveProduct:
     dim and rank are summed once, when the product is made.
     """
 
-    factors: tuple[Factor, ...]
+    factors: tuple[AlgebraFamily, ...]
     torus_removed: bool = False
     dim: int = field(init=False, compare=False, repr=False)
     rank: int = field(init=False, compare=False, repr=False)
@@ -175,30 +149,19 @@ def _require_valid(family: AlgebraFamily, p: Partition) -> None:
         raise ValueError(f"{p} is not a valid {family.kind} Jordan type")
 
 
-def odd_part_count(p: Partition) -> int:
-    return sum(map((1).__and__, p.parts))
-
-
-def slice_dim(family: AlgebraFamily, p: Partition) -> int:
-    """Dimension of the transverse slice e + z(f) at a nilpotent of type p.
-
-    Computed from the transpose mu: sum(mu_i^2) for GL, and
-    (sum(mu_i^2) +/- #odd parts of p)/2 for Sp / SO.  Both the
-    alternating-sum and odd-part-count readings of the correction term
-    are evaluated and must agree.
-    """
-    _require_valid(family, p)
-    return _slice_dim(family, p, dual(p))
-
-
 def _slice_dim(family: AlgebraFamily, p: Partition, mu: Partition) -> int:
-    """slice_dim for a valid type p with transpose mu."""
+    """Dimension of the slice e + z(f) at a valid type p with transpose mu.
+
+    sum(mu_i^2) for GL, and (sum(mu_i^2) +/- #odd parts of p)/2 for Sp / SO.
+    Both the alternating-sum and odd-part-count readings of the correction
+    term are evaluated and must agree.
+    """
     m = mu.parts
     sq = sum(map(mul, m, m))
     if family.kind == "GL":
         return sq
     alternating = sum(m[::2]) - sum(m[1::2])
-    odd = odd_part_count(p)
+    odd = sum(map((1).__and__, p.parts))
     if alternating != odd:
         raise AssertionError("dual alternating sum must count odd parts")
     num = sq + odd if family.kind == "Sp" else sq - odd
@@ -207,25 +170,20 @@ def _slice_dim(family: AlgebraFamily, p: Partition, mu: Partition) -> int:
     return num // 2
 
 
-def reductive_centralizer(family: AlgebraFamily, p: Partition) -> ReductiveProduct:
-    """Reductive centralizer of an sl2-triple through type p, as a product.
-
-    With mu the transpose and d_i = mu_i - mu_{i+1} (the multiplicity of
-    the part i in p): GL contributes GL(d_i) for every i; Sp contributes
-    Sp(d_i) at odd i and SO(d_i) at even i; SO swaps the two.
-    """
-    _require_valid(family, p)
-    return _centralizer(family, dual(p))
-
-
 @lru_cache(maxsize=256)
-def _factor(kind: str, size: int) -> Factor:
-    """The one shared Factor of a classical kind and matrix size."""
-    return Factor(kind, size)
+def _factor(kind: str, size: int) -> AlgebraFamily:
+    """The one shared centralizer factor of a classical kind and matrix size."""
+    return AlgebraFamily(kind, size)
 
 
 def _centralizer(family: AlgebraFamily, mu: Partition) -> ReductiveProduct:
-    """reductive_centralizer for the valid type whose transpose is mu."""
+    """Reductive centralizer of an sl2-triple through the valid type with
+    transpose mu, as a product.
+
+    With d_i = mu_i - mu_{i+1} (the multiplicity of the part i): GL
+    contributes GL(d_i) for every i; Sp contributes Sp(d_i) at odd i and
+    SO(d_i) at even i; SO swaps the two.
+    """
     kind = family.kind
     m = mu.parts
     mult = list(map(sub, m, m[1:] + (0,)))
@@ -251,10 +209,6 @@ def effective_centralizer(family: AlgebraFamily, p: Partition) -> ReductiveProdu
     return orbit_datum(family, p).effective_centralizer
 
 
-def orbit_dim(family: AlgebraFamily, p: Partition) -> int:
-    return family.dim - slice_dim(family, p)
-
-
 def is_regular_type(family: AlgebraFamily, p: Partition) -> bool:
     if family.kind in ("GL", "Sp"):
         return len(p.parts) == 1
@@ -278,6 +232,8 @@ def is_very_even_type(family: AlgebraFamily, p: Partition) -> bool:
 
 @dataclass(frozen=True)
 class OrbitDatum:
+    """The slice numbers of one Jordan type, made by ``orbit_datum``."""
+
     family: AlgebraFamily
     jordan_type: Partition
     dual: Partition
@@ -307,10 +263,8 @@ def orbit_datum(family: AlgebraFamily, p: Partition) -> OrbitDatum:
 
 
 __all__ = [
-    "AlgebraFamily", "Factor", "ReductiveProduct", "OrbitDatum",
-    "TRIVIAL_PRODUCT",
+    "AlgebraFamily", "ReductiveProduct", "OrbitDatum", "TRIVIAL_PRODUCT",
     "gl", "sp", "so", "exceptional",
-    "slice_dim", "reductive_centralizer", "effective_centralizer",
-    "orbit_dim", "orbit_datum", "odd_part_count",
+    "effective_centralizer", "orbit_datum",
     "is_regular_type", "is_zero_type", "is_very_even_type",
 ]

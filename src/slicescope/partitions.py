@@ -37,14 +37,6 @@ class Partition:
     def n(self) -> int:
         return sum(self.parts)
 
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    def part(self, i: int) -> int:
-        """1-based part access; indices past the end read as 0."""
-        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
-
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.parts)) + ")"
 
@@ -142,11 +134,6 @@ def _valid_parts(n: int, largest: int, paired: int | None) -> Iterator[tuple[int
 
 # Parity of the parts that need even multiplicity (1 odd, 0 even).
 _PAIRED_PARITY = {"GL": None, "Sp": 1, "SO": 0}
-
-
-def partitions_of(n: int) -> Iterator[Partition]:
-    """All partitions of n in reverse-lexicographic order."""
-    return map(Partition, _valid_parts(n, n, None))
 
 
 def valid_jordan_types(family_kind: str, n: int) -> list[Partition]:

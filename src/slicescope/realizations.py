@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from . import liealg
 from .exactlinalg import RatMatrix, Subspace, bracket, kernel
-from .liealg import AlgebraFamily
-from .partitions import Partition, hook_parameters, multiplicities
+from .liealg import AlgebraFamily, OrbitDatum
+from .partitions import Partition, multiplicities
 
 
 class RealizationError(ValueError):
@@ -40,9 +40,7 @@ MAX_REALIZATION_SIZE = 12
 @dataclass
 class MatrixRealization:
     label: str
-    family: AlgebraFamily
-    jordan_type: Partition
-    n_ambient: int
+    orbit: OrbitDatum                # the modeled Jordan type and its slice numbers
     e: RatMatrix
     f: RatMatrix
     h: RatMatrix
@@ -53,8 +51,12 @@ class MatrixRealization:
     _zf: Subspace | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
-    def is_hook(self) -> bool:
-        return hook_parameters(self.jordan_type) is not None
+    def family(self) -> AlgebraFamily:
+        return self.orbit.family
+
+    @property
+    def jordan_type(self) -> Partition:
+        return self.orbit.jordan_type
 
     @property
     def dim_g(self) -> int:
@@ -71,7 +73,7 @@ class MatrixRealization:
     def zf_subspace(self) -> Subspace:
         """z(f) as a subspace of the flattened matrix space, built once."""
         if self._zf is None:
-            self._zf = Subspace(self.n_ambient ** 2,
+            self._zf = Subspace(self.family.size ** 2,
                                 [m.flatten() for m in self.zf_basis], check=False)
         return self._zf
 
@@ -82,7 +84,7 @@ class MatrixRealization:
             "label": self.label,
             "family": str(self.family),
             "jordan_type": str(self.jordan_type),
-            "n_ambient": self.n_ambient,
+            "n_ambient": self.family.size,
             "e": dump(self.e), "f": dump(self.f), "h": dump(self.h),
             "gram": dump(self.gram) if self.gram is not None else None,
             "g_basis": [dump(m) for m in self.g_basis],
@@ -116,15 +118,10 @@ def build_algebra(n: int, gram: RatMatrix | None) -> list[RatMatrix]:
     return [RatMatrix.from_flat(v, n, n) for v in ker.basis]
 
 
-def _ad_kernel_in(g_basis: list[RatMatrix], ops: list[RatMatrix]) -> list[RatMatrix]:
-    """Basis of {X in span(g_basis) : [op, X] = 0 for every op}."""
-    n = ops[0].rows
-    cols = []
-    for b in g_basis:
-        col = []
-        for op in ops:
-            col.extend(bracket(op, b).flatten())
-        cols.append(col)
+def _ad_kernel_in(g_basis: list[RatMatrix], op: RatMatrix) -> list[RatMatrix]:
+    """Basis of {X in span(g_basis) : [op, X] = 0}."""
+    n = op.rows
+    cols = [bracket(op, b).flatten() for b in g_basis]
     ker = kernel(RatMatrix(cols).transpose())
     out = []
     for coeffs in ker.basis:
@@ -274,7 +271,7 @@ def classical_triple(family: AlgebraFamily, p: Partition) -> MatrixRealization:
         if gram is not None and not _preserves(c, gram):
             raise InconsistentRealization(f"{label}: q element does not preserve the form")
 
-    zf_basis = _ad_kernel_in(g_basis, [f])
+    zf_basis = _ad_kernel_in(g_basis, f)
     if len(zf_basis) != o.slice_dim:
         raise InconsistentRealization(
             f"{label}: dim z(f) = {len(zf_basis)}, expected {o.slice_dim}")
@@ -282,8 +279,7 @@ def classical_triple(family: AlgebraFamily, p: Partition) -> MatrixRealization:
     if len(q_basis) != expected_q:
         raise InconsistentRealization(
             f"{label}: dim q = {len(q_basis)}, expected {expected_q}")
-    return MatrixRealization(label=label, family=family, jordan_type=p,
-                             n_ambient=n, e=e, f=f, h=h, g_basis=g_basis,
+    return MatrixRealization(label=label, orbit=o, e=e, f=f, h=h, g_basis=g_basis,
                              zf_basis=zf_basis, q_basis=q_basis, gram=gram)
 
 

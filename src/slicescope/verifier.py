@@ -13,7 +13,7 @@ degeneracy is reported as inconclusive, never as success.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 from .exactlinalg import RatMatrix, Subspace, bracket, kernel, trace_form
 from .realizations import MatrixRealization
@@ -125,15 +125,7 @@ class CoisotropyReport:
     inconclusive: bool     # omega stayed degenerate over all retries
 
     def to_dict(self) -> dict:
-        return {
-            "case": self.case, "seed": self.seed,
-            "dim_ambient": self.dim_ambient, "omega_rank": self.omega_rank,
-            "dim_W": self.dim_W, "dim_W_perp": self.dim_W_perp,
-            "contained": self.contained,
-            "dim_intersection": self.dim_intersection,
-            "stabilizer_dim": self.stabilizer_dim,
-            "inconclusive": self.inconclusive,
-        }
+        return asdict(self)
 
 
 def _check_at(r: MatrixRealization, seed: int) -> CoisotropyReport:
@@ -181,6 +173,6 @@ def coisotropy_check(r: MatrixRealization, seed: int,
         if (rep.omega_rank, rep.dim_W) > (best.omega_rank, best.dim_W):
             best = rep
     if best.omega_rank < best.dim_ambient:
-        best = CoisotropyReport(**{**best.to_dict(), "inconclusive": True})
+        best = replace(best, inconclusive=True)
     return best
 

@@ -11,8 +11,7 @@ from slicescope import classifier, datasets, realizations, superdual, verifier
 from slicescope.classifier import (EXPECTED_EXCEPTIONS, Status, classify,
                                    enumerate_and_classify, necessary_bound,
                                    reduced_inequality, sweep_inequality_proof)
-from slicescope.liealg import (effective_centralizer, gl, orbit_datum,
-                               slice_dim, so, sp)
+from slicescope.liealg import effective_centralizer, gl, orbit_datum, so, sp
 from slicescope.partitions import (Partition, hook_parameters,
                                    is_valid_jordan_type)
 
@@ -197,7 +196,7 @@ def test_criterion_8_cross_module_dimensions():
     labels = ["sp6-33", "gl5-3.2", "gl6-2.2.2"] + _coisotropy_cases()[:12]
     for label in labels:
         r = realizations.build_case(label)
-        assert r.dim_zf == slice_dim(r.family, r.jordan_type), label
+        assert r.dim_zf == orbit_datum(r.family, r.jordan_type).slice_dim, label
         assert r.dim_q == effective_centralizer(r.family, r.jordan_type).dim, label
     _report(8, True, f"{len(labels)} realizations match slice and "
                      "centralizer dimensions")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import slicescope
-from slicescope import realizations, verifier
+from slicescope import classifier, liealg, realizations, verifier
 from slicescope.cli import main
 
 # The classify/sweep commands of the benchmark, with the SHA-256 of their stdout.
@@ -151,6 +151,22 @@ def test_verify_stops_at_the_predicted_stabilizer(capsys, monkeypatch, case):
     assert json.loads(out) == full
 
 
+def test_verify_computes_the_orbit_datum_once(capsys, monkeypatch):
+    # The matrix model carries the orbit datum it was built from, and
+    # verify classifies that one.
+    real, calls = liealg.orbit_datum, []
+
+    def counted(family, p):
+        calls.append((family, p))
+        return real(family, p)
+
+    for module in (liealg, classifier):
+        monkeypatch.setattr(module, "orbit_datum", counted)
+    code, _, _ = run(capsys, "verify", "--case", "gl4-hook1")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_verify_broken_model_exits_1(capsys, monkeypatch):
     real = realizations._sl2_on_jordan_block
 
@@ -200,6 +216,12 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run(capsys, "check", "--family", "sp", "--partition",
                        "3,2,1", "--rank-from-partition")
     assert code == 2
+    # a type that does not fit or is invalid is bad input for dual as for check
+    for argv in (["--family", "gl", "--rank", "3", "--partition", "2,2"],
+                 ["--family", "sp", "--partition", "3,2,1", "--rank-from-partition"]):
+        for command in ("check", "dual"):
+            code, out, err = run(capsys, command, *argv)
+            assert code == 2 and err.startswith("usage error: ") and not out
     # classify refuses sizes above its cap before enumerating anything
     for argv in (["--family", "gl", "--rank", "70"], ["--family", "so", "--size", "41"]):
         code, out, err = run(capsys, "classify", *argv)

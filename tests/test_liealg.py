@@ -3,12 +3,10 @@ import dataclasses
 import pytest
 
 from slicescope import liealg
-from slicescope.liealg import (AlgebraFamily, Factor, ReductiveProduct,
+from slicescope.liealg import (AlgebraFamily, ReductiveProduct,
                                TRIVIAL_PRODUCT, effective_centralizer, gl,
                                is_regular_type, is_very_even_type,
-                               is_zero_type, odd_part_count, orbit_datum,
-                               orbit_dim, reductive_centralizer, slice_dim,
-                               so, sp)
+                               is_zero_type, orbit_datum, so, sp)
 from slicescope.partitions import (Partition, dual, hook_parameters,
                                    multiplicities, valid_jordan_types)
 
@@ -24,17 +22,20 @@ def test_family_dims_and_ranks():
         sp(5)
     with pytest.raises(ValueError):
         liealg.exceptional("X9")
+    with pytest.raises(ValueError):
+        liealg.exceptional("A")     # a simple type by rank, not an exceptional label
 
 
 def test_factor_and_product_arithmetic():
-    assert Factor("A", 1).dim == 3
-    assert Factor("B", 3).dim == 21
-    assert Factor("C", 2).dim == 10
-    assert Factor("D", 4).dim == 28
-    assert Factor("T", 2).dim == 2 and Factor("T", 2).rank == 2
-    prod = ReductiveProduct((Factor("GL", 2), Factor("T", 1)))
+    assert AlgebraFamily("A", 1).dim == 3
+    assert AlgebraFamily("B", 3).dim == 21
+    assert AlgebraFamily("C", 2).dim == 10
+    assert AlgebraFamily("D", 4).dim == 28
+    assert AlgebraFamily("T", 2).dim == 2 and AlgebraFamily("T", 2).rank == 2
+    assert (str(AlgebraFamily("B", 3)), str(AlgebraFamily("T", 1))) == ("B3", "T1")
+    prod = ReductiveProduct((gl(2), AlgebraFamily("T", 1)))
     assert (prod.dim, prod.rank) == (5, 3)
-    removed = ReductiveProduct((Factor("GL", 2),), torus_removed=True)
+    removed = ReductiveProduct((gl(2),), torus_removed=True)
     assert (removed.dim, removed.rank) == (3, 1)
     assert TRIVIAL_PRODUCT.dim == 0 and str(TRIVIAL_PRODUCT) == "1"
 
@@ -42,13 +43,13 @@ def test_factor_and_product_arithmetic():
 def test_classical_factor_matches_its_family():
     for kind, make in (("GL", gl), ("Sp", sp), ("SO", so)):
         for size in range(0, 13, 1 if kind != "Sp" else 2):
-            f, g = Factor(kind, size), make(size)
-            assert (f.dim, f.rank, str(f)) == (g.dim, g.rank, str(g))
-    # A bad size is refused when the factor is made, as for a family.
+            f, g = liealg._factor(kind, size), make(size)
+            assert f == g and (f.dim, f.rank, str(f)) == (g.dim, g.rank, str(g))
+    # A bad size is refused when the factor is made.
     with pytest.raises(ValueError, match="even matrix size"):
-        Factor("Sp", 3)
+        AlgebraFamily("Sp", 3)
     with pytest.raises(ValueError, match="negative matrix size"):
-        Factor("GL", -1)
+        AlgebraFamily("GL", -1)
 
 
 def test_stored_dims_keep_the_dataclass_contract():
@@ -56,8 +57,8 @@ def test_stored_dims_keep_the_dataclass_contract():
     assert hash(gl(3)) == hash(AlgebraFamily("GL", 3))
     assert repr(gl(3)) == "AlgebraFamily(kind='GL', size=3)"
     assert dataclasses.replace(gl(3), size=4).dim == 16
-    assert Factor("Sp", 4) == Factor("Sp", 4) and str(Factor("Sp", 4)) == "Sp(4)"
-    assert ReductiveProduct((Factor("GL", 2),)) != ReductiveProduct((Factor("GL", 2),), True)
+    assert AlgebraFamily("Sp", 4) == sp(4) and str(AlgebraFamily("Sp", 4)) == "Sp(4)"
+    assert ReductiveProduct((gl(2),)) != ReductiveProduct((gl(2),), True)
 
 
 def _closed_form(kind, d):
@@ -91,56 +92,64 @@ def test_stored_centralizer_dims_match_closed_forms():
                 (dim - torus, rank - torus), (fam, p)
 
 
+def _slice_dim(fam, parts):
+    return orbit_datum(fam, Partition(parts)).slice_dim
+
+
+def _centralizer(fam, parts):
+    return orbit_datum(fam, Partition(parts)).centralizer
+
+
 def test_slice_dim_examples():
     # gl: sum of squared transpose parts.
-    assert slice_dim(gl(5), Partition((3, 2))) == 2 * 2 + 2 * 2 + 1  # mu=(2,2,1)
-    assert slice_dim(gl(4), Partition((4,))) == 4
+    assert _slice_dim(gl(5), (3, 2)) == 2 * 2 + 2 * 2 + 1  # mu=(2,2,1)
+    assert _slice_dim(gl(4), (4,)) == 4
     # The (3,3) symplectic slice: mu = (2,2,2), (12 + 2)/2.
-    assert slice_dim(sp(6), Partition((3, 3))) == 7
+    assert _slice_dim(sp(6), (3, 3)) == 7
     # Odd orthogonal hook (5,1,1): mu = (3,1,1,1,1), (13 - 3)/2.
-    assert slice_dim(so(7), Partition((5, 1, 1))) == 5
+    assert _slice_dim(so(7), (5, 1, 1)) == 5
     # Symplectic hook (2,1,1): mu = (3,1), (10 + 2)/2.
-    assert slice_dim(sp(4), Partition((2, 1, 1))) == 6
+    assert _slice_dim(sp(4), (2, 1, 1)) == 6
 
 
 def test_slice_dim_rejects_bad_input():
     with pytest.raises(ValueError):
-        slice_dim(sp(6), Partition((3, 2, 1)))   # invalid Sp parity
+        _slice_dim(sp(6), (3, 2, 1))   # invalid Sp parity
     with pytest.raises(ValueError):
-        slice_dim(gl(4), Partition((3, 2)))      # wrong total
+        _slice_dim(gl(4), (3, 2))      # wrong total
 
 
 def test_reductive_centralizer_examples():
     # gl (3,2): multiplicities 1 at 3 and 1 at 2 -> GL1 x GL1.
-    q = reductive_centralizer(gl(5), Partition((3, 2)))
+    q = _centralizer(gl(5), (3, 2))
     assert {(f.kind, f.size) for f in q.factors} == {("GL", 1)}
     assert len(q.factors) == 2
     # sp (2,1,1): part 1 (odd) has mult 2 -> Sp(2); part 2 (even) mult 1 -> SO(1).
-    q = reductive_centralizer(sp(4), Partition((2, 1, 1)))
+    q = _centralizer(sp(4), (2, 1, 1))
     assert {(f.kind, f.size) for f in q.factors} == {("Sp", 2), ("SO", 1)}
     # so (5,1,1): part 1 mult 2 -> SO(2); part 5 mult 1 -> SO(1).
-    q = reductive_centralizer(so(7), Partition((5, 1, 1)))
+    q = _centralizer(so(7), (5, 1, 1))
     assert sorted((f.kind, f.size) for f in q.factors) == [("SO", 1), ("SO", 2)]
     # sp (3,3): odd part 3 with mult 2 -> Sp(2), nothing else.
-    q = reductive_centralizer(sp(6), Partition((3, 3)))
+    q = _centralizer(sp(6), (3, 3))
     assert [(f.kind, f.size) for f in q.factors] == [("Sp", 2)]
     assert (q.dim, q.rank) == (3, 1)
 
 
 def test_effective_centralizer_gl_drops_torus():
     p = Partition((3, 1, 1))
-    full = reductive_centralizer(gl(5), p)
+    full = orbit_datum(gl(5), p).centralizer
     eff = effective_centralizer(gl(5), p)
     assert eff.dim == full.dim - 1 and eff.rank == full.rank - 1
     # Form-preserving families are untouched.
     assert effective_centralizer(so(7), Partition((5, 1, 1))).dim == \
-        reductive_centralizer(so(7), Partition((5, 1, 1))).dim
+        _centralizer(so(7), (5, 1, 1)).dim
 
 
 def test_orbit_dim_examples():
-    assert orbit_dim(gl(4), Partition((4,))) == 12
-    assert orbit_dim(sp(6), Partition((3, 3))) == 14
-    assert orbit_dim(gl(4), Partition((1, 1, 1, 1))) == 0
+    assert orbit_datum(gl(4), Partition((4,))).orbit_dim == 12
+    assert orbit_datum(sp(6), Partition((3, 3))).orbit_dim == 14
+    assert orbit_datum(gl(4), Partition((1, 1, 1, 1))).orbit_dim == 0
 
 
 def test_regular_zero_very_even_predicates():
@@ -172,14 +181,19 @@ def _families_up_to(max_rank):
         yield so(n)
 
 
-def test_orbit_datum_matches_public_functions():
+def test_orbit_datum_matches_the_pairwise_min_formula():
+    """dim z(e) = sum over pairs of parts of min(p_i, p_j), halved with the
+    odd-part correction for Sp / SO: a count that never forms the transpose."""
     for fam in _families_up_to(6):
         for p in valid_jordan_types(fam.kind, fam.size):
             o = orbit_datum(fam, p)
             assert o.dual == dual(p)
-            assert o.slice_dim == slice_dim(fam, p)
-            assert o.orbit_dim == orbit_dim(fam, p)
-            assert o.centralizer == reductive_centralizer(fam, p)
+            pairs = sum(min(a, b) for a in p.parts for b in p.parts)
+            odd = sum(part % 2 for part in p.parts)
+            expected = {"GL": pairs, "Sp": (pairs + odd) // 2,
+                        "SO": (pairs - odd) // 2}[fam.kind]
+            assert o.slice_dim == expected, (fam, p)
+            assert o.orbit_dim == fam.dim - expected
 
 
 def test_orbit_datum_rejects_bad_input():
@@ -194,13 +208,14 @@ def test_orbit_datum_rejects_bad_input():
 def test_slice_plus_orbit_is_algebra_dim_everywhere():
     for fam in _families_up_to(6):
         for p in valid_jordan_types(fam.kind, fam.size):
-            assert slice_dim(fam, p) + orbit_dim(fam, p) == fam.dim
+            o = orbit_datum(fam, p)
+            assert o.slice_dim + o.orbit_dim == fam.dim
 
 
 def test_slice_dim_at_least_rank_with_equality_iff_regular():
     for fam in _families_up_to(6):
         for p in valid_jordan_types(fam.kind, fam.size):
-            s = slice_dim(fam, p)
+            s = orbit_datum(fam, p).slice_dim
             assert s >= fam.rank
             assert (s == fam.rank) == is_regular_type(fam, p)
 
@@ -208,7 +223,7 @@ def test_slice_dim_at_least_rank_with_equality_iff_regular():
 def test_centralizer_sizes_are_multiplicities():
     for fam in _families_up_to(6):
         for p in valid_jordan_types(fam.kind, fam.size):
-            q = reductive_centralizer(fam, p)
+            q = orbit_datum(fam, p).centralizer
             assert sorted(f.size for f in q.factors) == \
                 sorted(multiplicities(p).values())
 
@@ -218,7 +233,7 @@ def test_odd_part_count_matches_alternating_dual_sum():
         for p in valid_jordan_types("GL", n):
             mu = dual(p)
             alt = sum((-1) ** i * m for i, m in enumerate(mu.parts))
-            assert alt == odd_part_count(p)
+            assert alt == sum(part % 2 for part in p.parts)
 
 
 def test_hook_rank_identity():
@@ -227,8 +242,9 @@ def test_hook_rank_identity():
         for p in valid_jordan_types(fam.kind, fam.size):
             if hook_parameters(p) is None:
                 continue
-            q = effective_centralizer(fam, p)
-            assert slice_dim(fam, p) - q.dim == fam.rank + q.rank
+            o = orbit_datum(fam, p)
+            q = o.effective_centralizer
+            assert o.slice_dim - q.dim == fam.rank + q.rank
 
 
 def test_sp_factors_have_even_size():
@@ -236,6 +252,6 @@ def test_sp_factors_have_even_size():
         if fam.kind == "GL":
             continue
         for p in valid_jordan_types(fam.kind, fam.size):
-            for f in reductive_centralizer(fam, p).factors:
+            for f in orbit_datum(fam, p).centralizer.factors:
                 if f.kind == "Sp":
                     assert f.size % 2 == 0

@@ -4,9 +4,9 @@ import json
 import pytest
 
 from slicescope.exactlinalg import RatMatrix, bracket
-from slicescope.liealg import (effective_centralizer, exceptional, gl, slice_dim,
+from slicescope.liealg import (effective_centralizer, exceptional, gl, orbit_datum,
                                so, sp)
-from slicescope.partitions import Partition
+from slicescope.partitions import Partition, hook_parameters
 from slicescope.realizations import (RealizationError, _sl2_on_jordan_block,
                                      build_algebra, build_case, classical_triple,
                                      invariant_form_on_block,
@@ -72,9 +72,9 @@ def test_classical_triple_general_gl_type():
     r = classical_triple(gl(5), Partition((3, 2)))
     _check_triple_relations(r)
     assert r.dim_g == 25
-    assert r.dim_zf == slice_dim(gl(5), Partition((3, 2))) == 9
+    assert r.dim_zf == orbit_datum(gl(5), Partition((3, 2))).slice_dim == 9
     assert r.dim_q == effective_centralizer(gl(5), Partition((3, 2))).dim == 1
-    assert not r.is_hook
+    assert hook_parameters(r.jordan_type) is None
     for c in r.q_basis:
         assert c.trace() == 0
 
@@ -90,7 +90,7 @@ def test_hook_realization_dimensions(label, dim_g, dim_zf, dim_q):
     r = build_case(label)
     _check_triple_relations(r)
     assert (r.dim_g, r.dim_zf, r.dim_q) == (dim_g, dim_zf, dim_q)
-    assert r.is_hook
+    assert hook_parameters(r.jordan_type) is not None
 
 
 def test_hook_dims_match_combinatorics():
@@ -98,8 +98,10 @@ def test_hook_dims_match_combinatorics():
              (so(9), Partition((5, 1, 1, 1, 1)))]
     for fam, p in cases:
         r = classical_triple(fam, p)
+        assert r.orbit == orbit_datum(fam, p)
+        assert (r.family, r.jordan_type) == (fam, p)
         assert r.dim_g == fam.dim
-        assert r.dim_zf == slice_dim(fam, p)
+        assert r.dim_zf == orbit_datum(fam, p).slice_dim
         assert r.dim_q == effective_centralizer(fam, p).dim
 
 
