@@ -18,7 +18,7 @@ import sys
 from . import classifier, datasets, liealg, realizations, superdual, verifier
 from .classifier import HYPERSPHERICAL_STATUSES, Status, Verdict
 from .liealg import AlgebraFamily
-from .partitions import parse_partition
+from .partitions import Partition, parse_partition
 
 _COLUMNS = ["family", "rank", "jordan_type", "dual", "slice_dim", "q_factors",
             "lhs", "rhs", "slack", "status", "sdual"]
@@ -123,9 +123,17 @@ def cmd_classify(args, out) -> int:
     return 0
 
 
+def _partition(args) -> Partition:
+    """The --partition argument; a malformed one is bad input."""
+    try:
+        return parse_partition(args.partition)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+
+
 def _orbit(args) -> liealg.OrbitDatum:
     """The orbit named by --family/--partition; a type that does not fit is bad input."""
-    p = parse_partition(args.partition)
+    p = _partition(args)
     family = _family_from_args(args, n_from_partition=p.n)
     try:
         return liealg.orbit_datum(family, p)
@@ -164,7 +172,7 @@ def _realization(args) -> realizations.MatrixRealization:
         raise UsageError("verify needs --case or --family/--partition")
     if not args.family:
         raise UsageError("--partition needs --family")
-    p = parse_partition(args.partition)
+    p = _partition(args)
     if args.size is None and args.rank is None:
         args.rank_from_partition = True   # size the algebra from the partition
     family = _family_from_args(args, n_from_partition=p.n)
@@ -185,6 +193,8 @@ def cmd_verify(args, out) -> int:
     record = rep.to_dict()
     out.write(json.dumps(record, sort_keys=True) + "\n")
     if rep.inconclusive:
+        print(f"verify: {r.label} is inconclusive: omega has rank {rep.omega_rank} "
+              f"< dim_ambient {rep.dim_ambient} at every sampled point", file=sys.stderr)
         return 1
     wrong = [f"{key} {record[key]}, predicted {value}"
              for key, value in predicted.items()

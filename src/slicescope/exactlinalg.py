@@ -8,9 +8,11 @@ only its nonzero entries: one dict per row, column -> value.  An entry
 is a Python ``int``, or a ``fractions.Fraction`` whose denominator is
 not 1; every operation keeps that form, and every division goes through
 ``Fraction``.  Products, sums, traces and eliminations touch only the
-nonzero entries.  Elimination takes rows sparsest first, which keeps
-fill-in down; its results do not depend on the row order, because the
-reduced row echelon form of a span is unique.
+nonzero entries, and a commutator xy - yx is one pass that accumulates
+both products row by row, with no intermediate matrix.  Elimination
+takes rows sparsest first, which keeps fill-in down; its results do not
+depend on the row order, because the reduced row echelon form of a span
+is unique.
 
 Vectors (flattened matrices, subspace bases, kernel bases) are dense
 tuples of the same entries.
@@ -410,10 +412,25 @@ def kernel(a: RatMatrix) -> Subspace:
 
 
 def bracket(x: RatMatrix, y: RatMatrix) -> RatMatrix:
-    """Matrix commutator [x, y] = xy - yx."""
+    """Matrix commutator [x, y] = xy - yx, in one pass.
+
+    Row i of xy and row i of yx go into one accumulator, so neither
+    product is built as a matrix of its own.
+    """
     if x.rows != x.cols or y.rows != y.cols or x.rows != y.rows:
         raise ValueError("bracket needs square matrices of equal size")
-    return x @ y - y @ x
+    xe, ye = x.entries, y.entries
+    out = []
+    for xrow, yrow in zip(xe, ye):
+        acc: Row = {}
+        for k, a in xrow.items():
+            for j, b in ye[k].items():
+                acc[j] = acc.get(j, 0) + a * b
+        for k, a in yrow.items():
+            for j, b in xe[k].items():
+                acc[j] = acc.get(j, 0) - a * b
+        out.append(_clean(acc))
+    return RatMatrix._wrap(out, x.rows, x.cols)
 
 
 def trace_form(x: RatMatrix, y: RatMatrix) -> Entry:

@@ -98,7 +98,13 @@ def _unit(n: int, i: int, j: int) -> RatMatrix:
 
 
 def build_algebra(n: int, gram: RatMatrix | None) -> list[RatMatrix]:
-    """Basis of {X : X^T M + M X = 0}, or all of gl(n) when gram is None."""
+    """Basis of {X : X^T M + M X = 0}, or all of gl(n) when gram is None.
+
+    The basis is the kernel of the linear map X -> X^T M + M X on the
+    n^2-dimensional matrix space.  Its columns are written in closed
+    form: for X = E_ij, X^T M is row i of M moved to row j, and M X is
+    column i of M moved to column j, so no matrix product is formed.
+    """
     if gram is None:
         return [_unit(n, i, j) for i in range(n) for j in range(n)]
     if gram.rows != n or gram.cols != n:
@@ -108,29 +114,35 @@ def build_algebra(n: int, gram: RatMatrix | None) -> list[RatMatrix]:
         raise RealizationError("gram must be symmetric or antisymmetric")
     if gram.rank() != n:
         raise RealizationError("degenerate gram matrix")
-    # Linear constraint map on the n^2-dimensional matrix space.
-    cols = []
-    for i in range(n):
+    # Entry (a * n + b, i * n + j): entry (a, b) of the image of E_ij.
+    constraint: dict[tuple[int, int], int] = {}
+    for i, (row, column) in enumerate(zip(gram.entries, gt.entries)):
         for j in range(n):
-            x = _unit(n, i, j)
-            cols.append((x.transpose() @ gram + gram @ x).flatten())
-    ker = kernel(RatMatrix(cols).transpose())
+            col = i * n + j
+            for b, x in row.items():                  # row i of M into row j
+                constraint[j * n + b, col] = x
+            for a, x in column.items():               # column i of M into column j
+                key = (a * n + j, col)
+                constraint[key] = constraint.get(key, 0) + x
+    ker = kernel(RatMatrix.from_entries(n * n, n * n, constraint))
     return [RatMatrix.from_flat(v, n, n) for v in ker.basis]
 
 
 def _ad_kernel_in(g_basis: list[RatMatrix], op: RatMatrix) -> list[RatMatrix]:
-    """Basis of {X in span(g_basis) : [op, X] = 0}."""
+    """Basis of {X in span(g_basis) : [op, X] = 0}.
+
+    Each basis element is a combination of g_basis with coefficients from
+    the kernel; all of them come out of one product with the flattened
+    g basis.
+    """
     n = op.rows
     cols = [bracket(op, b).flatten() for b in g_basis]
     ker = kernel(RatMatrix(cols).transpose())
-    out = []
-    for coeffs in ker.basis:
-        acc = RatMatrix.zeros(n, n)
-        for c, b in zip(coeffs, g_basis):
-            if c:
-                acc = acc + b.scale(c)
-        out.append(acc)
-    return out
+    if not ker.basis:
+        return []
+    flat = RatMatrix(ker.basis) @ RatMatrix([b.flatten() for b in g_basis])
+    return [RatMatrix.from_entries(n, n, {divmod(c, n): x for c, x in row.items()})
+            for row in flat.entries]
 
 
 def _sl2_on_jordan_block(m: int) -> tuple[RatMatrix, RatMatrix, RatMatrix]:

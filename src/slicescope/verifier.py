@@ -49,27 +49,57 @@ def _check_in_slice(r: MatrixRealization, x: RatMatrix) -> None:
         raise SliceError("point is not on the slice")
 
 
+def _by_transposed_support(basis: list[RatMatrix]) -> dict[tuple[int, int], list[int]]:
+    """(k, l) -> indices, in order, of the basis elements nonzero at (l, k)."""
+    index: dict[tuple[int, int], list[int]] = {}
+    for t, b in enumerate(basis):
+        for l, row in enumerate(b.entries):
+            for k in row:
+                index.setdefault((k, l), []).append(t)
+    return index
+
+
+def _meeting(a: RatMatrix, index: dict[tuple[int, int], list[int]]) -> list[int]:
+    """Sorted indices of the elements b of an indexed basis with tr(ab) possibly nonzero."""
+    out: set[int] = set()
+    for k, row in enumerate(a.entries):
+        for l in row:
+            out.update(index.get((k, l), ()))
+    return sorted(out)
+
+
 def omega_gram(r: MatrixRealization, x: RatMatrix) -> RatMatrix:
     """Gram matrix of the slice symplectic form on the basis g + z(f).
 
     On tangent vectors (xi, u), (eta, v) with xi, eta in g and u, v in
     z(f), the form is (x, [xi, eta]) + (u, eta) - (v, xi), with (-,-)
     the trace pairing.
+
+    Only pairs whose supports meet are paired.  tr(ab) is the sum of
+    a_kl b_lk over the nonzero entries a_kl of a, so when no (k, l) in the
+    support of a has (l, k) in the support of b, every term is zero and
+    so is the entry: skipping the pair cannot drop a nonzero entry.  The
+    g and z(f) basis elements are indexed by the transposed positions of
+    their nonzero entries, and each element looks up the ones it meets.
     """
     _check_in_slice(r, x)
     dg, dz = r.dim_g, r.dim_zf
+    g_index = _by_transposed_support(r.g_basis)
+    zf_index = _by_transposed_support(r.zf_basis)
     gram = {}
     # Invariance of the trace pairing: (x, [b_i, b_j]) = ([x, b_i], b_j),
     # so one bracket per basis element replaces one per basis pair.
     ad_x = [bracket(x, bi) for bi in r.g_basis]
     for i in range(dg):
-        for j in range(i + 1, dg):
+        for j in _meeting(ad_x[i], g_index):
+            if j <= i:
+                continue
             val = trace_form(ad_x[i], r.g_basis[j])
             if val:
                 gram[i, j] = val
                 gram[j, i] = -val
         bi = r.g_basis[i]
-        for j in range(dz):
+        for j in _meeting(bi, zf_index):
             val = -trace_form(r.zf_basis[j], bi)
             if val:
                 gram[i, dg + j] = val

@@ -132,6 +132,23 @@ def test_verify_disagreement_exits_1(capsys, monkeypatch):
     assert "contained False, predicted True" in err
 
 
+def test_verify_inconclusive_exits_1_with_a_reason(capsys, monkeypatch):
+    real = verifier.coisotropy_check
+
+    def degenerate(r, seed, stabilizer=0):
+        rep = real(r, seed, stabilizer)
+        return dataclasses.replace(rep, omega_rank=rep.dim_ambient - 2, inconclusive=True)
+
+    monkeypatch.setattr(verifier, "coisotropy_check", degenerate)
+    code, out, err = run(capsys, "verify", "--case", "sp6-33")
+    assert code == 1
+    rec = json.loads(out)
+    assert rec["inconclusive"] is True and rec["omega_rank"] == 26
+    assert err.count("\n") == 1
+    assert err.startswith("verify: sp6-33 is inconclusive: ")
+    assert "rank 26" in err and "dim_ambient 28" in err
+
+
 @pytest.mark.parametrize("case", ["gl6-1.1.1.1.1.1", "so4-2.2", "gl6-hook2"])
 def test_verify_stops_at_the_predicted_stabilizer(capsys, monkeypatch, case):
     # The zero orbit and so(4) (2,2) have a nonzero generic stabilizer; a
@@ -165,6 +182,29 @@ def test_verify_computes_the_orbit_datum_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "--case", "gl4-hook1")
     assert code == 0
     assert len(calls) == 1
+
+
+def test_omega_gram_pairs_only_supports_that_meet(capsys, monkeypatch):
+    # All pairs would be dg(dg-1)/2 + dg*dz trace_form calls per Gram
+    # matrix, 1638 for sp8-hook6; pairing supports leaves about an eighth.
+    r = realizations.build_case("sp8-hook6")
+    all_pairs = r.dim_g * (r.dim_g - 1) // 2 + r.dim_g * r.dim_zf
+    assert all_pairs == 1638
+    real_gram, real_trace, grams, traces = verifier.omega_gram, verifier.trace_form, [], []
+
+    def counted_gram(r, x):
+        grams.append(r.label)
+        return real_gram(r, x)
+
+    def counted_trace(a, b):
+        traces.append(1)
+        return real_trace(a, b)
+
+    monkeypatch.setattr(verifier, "omega_gram", counted_gram)
+    monkeypatch.setattr(verifier, "trace_form", counted_trace)
+    code, _, _ = run(capsys, "verify", "--case", "sp8-hook6")
+    assert code == 0 and grams
+    assert len(traces) <= len(grams) * all_pairs // 4
 
 
 def test_verify_broken_model_exits_1(capsys, monkeypatch):
@@ -222,6 +262,13 @@ def test_usage_errors_exit_2(capsys):
         for command in ("check", "dual"):
             code, out, err = run(capsys, command, *argv)
             assert code == 2 and err.startswith("usage error: ") and not out
+    # a malformed partition is bad input for every command that takes one
+    for command, argv in (("check", ["--partition", "2,x"]),
+                          ("dual", ["--partition", "2,x"]),
+                          ("verify", ["--partition", "2,x"]),
+                          ("check", ["--partition", "0,1"])):
+        code, out, err = run(capsys, command, "--family", "gl", "--rank", "3", *argv)
+        assert code == 2 and err.startswith("usage error: ") and not out, (command, argv)
     # classify refuses sizes above its cap before enumerating anything
     for argv in (["--family", "gl", "--rank", "70"], ["--family", "so", "--size", "41"]):
         code, out, err = run(capsys, "classify", *argv)

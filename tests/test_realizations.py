@@ -3,11 +3,12 @@ import json
 
 import pytest
 
-from slicescope.exactlinalg import RatMatrix, bracket
-from slicescope.liealg import (effective_centralizer, exceptional, gl, orbit_datum,
-                               so, sp)
-from slicescope.partitions import Partition, hook_parameters
-from slicescope.realizations import (RealizationError, _sl2_on_jordan_block,
+from slicescope.exactlinalg import RatMatrix, bracket, kernel
+from slicescope.liealg import (AlgebraFamily, effective_centralizer, exceptional, gl,
+                               orbit_datum, so, sp)
+from slicescope.partitions import Partition, hook_parameters, valid_jordan_types
+from slicescope.realizations import (RealizationError, _ad_kernel_in,
+                                     _sl2_on_jordan_block, _standard_symplectic,
                                      build_algebra, build_case, classical_triple,
                                      invariant_form_on_block,
                                      sp6_q_cartan, weight_space_dims)
@@ -24,6 +25,60 @@ def test_build_algebra_dimensions():
     sympl = RatMatrix([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
     assert len(build_algebra(4, sympl)) == 10       # sp(4)
     assert len(build_algebra(5, RatMatrix.identity(5))) == 10  # so(5)
+
+
+def _product_defined_algebra(n, gram):
+    """Kernel of X -> X^T M + M X, with each column formed by matrix products."""
+    cols = []
+    for i in range(n):
+        for j in range(n):
+            x = RatMatrix.from_entries(n, n, {(i, j): 1})
+            cols.append((x.transpose() @ gram + gram @ x).flatten())
+    ker = kernel(RatMatrix(cols).transpose())
+    return [RatMatrix.from_flat(v, n, n) for v in ker.basis]
+
+
+def _small_sp_so_types():
+    for kind in ("Sp", "SO"):
+        for n in range(1, 9):
+            for p in valid_jordan_types(kind, n):
+                yield AlgebraFamily(kind, n), p
+
+
+def test_build_algebra_matches_the_product_defined_map():
+    grams = [invariant_form_on_block(m) for m in range(1, 13)]
+    grams += [RatMatrix.identity(d) for d in range(1, 9)]
+    grams += [_standard_symplectic(d) for d in range(2, 9, 2)]
+    grams += [classical_triple(family, p).gram for family, p in _small_sp_so_types()]
+    assert len(grams) == 12 + 8 + 4 + 61     # 61 valid sp/so types with n <= 8
+    for gram in grams:
+        assert build_algebra(gram.rows, gram) == _product_defined_algebra(gram.rows, gram)
+
+
+def _scaled_sum_ad_kernel(g_basis, op):
+    """The kernel basis of ad(op) on span(g_basis), each a sum of scaled g elements."""
+    n = op.rows
+    cols = [bracket(op, b).flatten() for b in g_basis]
+    out = []
+    for coeffs in kernel(RatMatrix(cols).transpose()).basis:
+        acc = RatMatrix.zeros(n, n)
+        for c, b in zip(coeffs, g_basis):
+            if c:
+                acc = acc + b.scale(c)
+        out.append(acc)
+    return out
+
+
+def test_zf_basis_matches_the_scaled_sum():
+    checked = 0
+    for kind in ("GL", "Sp", "SO"):
+        for n in range(1, 9):
+            for p in valid_jordan_types(kind, n):
+                r = classical_triple(AlgebraFamily(kind, n), p)
+                assert r.zf_basis == _scaled_sum_ad_kernel(r.g_basis, r.f), (kind, p)
+                assert _ad_kernel_in(r.g_basis, r.h) == _scaled_sum_ad_kernel(r.g_basis, r.h)
+                checked += 1
+    assert checked == 127
 
 
 def test_build_algebra_rejects_bad_gram():

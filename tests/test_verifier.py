@@ -1,7 +1,7 @@
 import pytest
 
 from slicescope.classifier import classify, predicted_coisotropy
-from slicescope.exactlinalg import RatMatrix
+from slicescope.exactlinalg import RatMatrix, bracket, trace_form
 from slicescope.liealg import AlgebraFamily, gl, orbit_datum
 from slicescope.realizations import build_case, classical_triple
 from slicescope.verifier import (SliceError, coisotropy_check, omega_gram,
@@ -23,6 +23,32 @@ def test_omega_gram_is_antisymmetric():
     assert gram.transpose() == -gram
     for i in range(gram.rows):
         assert gram.data[i][i] == 0
+
+
+def _all_pairs_gram(r, x):
+    """The slice form's Gram matrix from its definition, on every g-g and g-z(f) pair."""
+    dg, dz = r.dim_g, r.dim_zf
+    gram = {}
+    for i, bi in enumerate(r.g_basis):
+        for j in range(i + 1, dg):
+            val = trace_form(x, bracket(bi, r.g_basis[j]))
+            gram[i, j], gram[j, i] = val, -val
+        for j, zj in enumerate(r.zf_basis):
+            val = -trace_form(zj, bi)
+            gram[i, dg + j], gram[dg + j, i] = val, -val
+    return RatMatrix.from_entries(dg + dz, dg + dz, gram)
+
+
+def test_omega_gram_matches_the_all_pairs_definition():
+    checked = 0
+    for kind in ("GL", "Sp", "SO"):
+        for n in range(1, 9):
+            for p in valid_jordan_types(kind, n):
+                r = classical_triple(AlgebraFamily(kind, n), p)
+                x = slice_point(r, 0).x
+                assert omega_gram(r, x) == _all_pairs_gram(r, x), (kind, p)
+                checked += 1
+    assert checked == 127
 
 
 def test_omega_gram_rejects_offslice_points():
