@@ -189,7 +189,11 @@ def cmd_verify(args, out) -> int:
         raise UsageError(str(exc))
     v = classifier.classify(r.orbit)
     predicted = classifier.predicted_coisotropy(v)
-    rep = verifier.coisotropy_check(r, args.seed, predicted.get("stabilizer_dim", 0))
+    try:
+        rep = verifier.coisotropy_check(r, args.seed, predicted.get("stabilizer_dim", 0))
+    except verifier.SliceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     record = rep.to_dict()
     out.write(json.dumps(record, sort_keys=True) + "\n")
     if rep.inconclusive:

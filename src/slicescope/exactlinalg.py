@@ -14,13 +14,17 @@ takes rows sparsest first, which keeps fill-in down; its results do not
 depend on the row order, because the reduced row echelon form of a span
 is unique.
 
-Vectors (flattened matrices, subspace bases, kernel bases) are dense
-tuples of the same entries.
+Vectors (flattened matrices, subspace bases, kernel bases) are sparse
+rows of the same form: a dict, column -> nonzero entry.  Dense tuples
+appear only at the public edges: ``RatMatrix.data``, ``flatten`` and
+``from_flat``, and ``Subspace.basis``, a view built on first read.  A
+``Subspace`` method that takes a vector takes either form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -65,6 +69,29 @@ def _sparse(vec: Sequence) -> Row:
     return out
 
 
+def _dense(row: Row, n: int) -> Vector:
+    out: list[Entry] = [0] * n
+    for j, x in row.items():
+        out[j] = x
+    return tuple(out)
+
+
+def _as_row(vec: Row | Sequence, n: int) -> Row:
+    """vec as a sparse row of length n; a dict is taken to be one already.
+
+    A sparse row holds nonzero entries in the form ``RatMatrix`` keeps
+    them.  It is shared, not copied: nothing here writes to a row it was
+    given.
+    """
+    if vec.__class__ is dict:
+        if vec and (min(vec) < 0 or max(vec) >= n):
+            raise ValueError("ambient dimension mismatch")
+        return vec
+    if len(vec) != n:
+        raise ValueError("ambient dimension mismatch")
+    return _sparse(vec)
+
+
 class RatMatrix:
     """A rows x cols matrix with exact rational entries, stored sparsely.
 
@@ -103,6 +130,11 @@ class RatMatrix:
         return cls._wrap(out, rows, cols)
 
     @classmethod
+    def from_rows(cls, rows: Sequence[Row], cols: int) -> "RatMatrix":
+        """The matrix whose row i is the sparse row rows[i], shared, not copied."""
+        return cls._wrap([_as_row(row, cols) for row in rows], len(rows), cols)
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
         return cls._wrap([{} for _ in range(rows)], rows, cols)
 
@@ -112,9 +144,16 @@ class RatMatrix:
 
     @classmethod
     def from_flat(cls, vec: Sequence, rows: int, cols: int) -> "RatMatrix":
-        if len(vec) != rows * cols:
-            raise ValueError("length mismatch")
-        return cls([vec[i * cols:(i + 1) * cols] for i in range(rows)])
+        return cls.from_flat_row(_as_row(vec, rows * cols), rows, cols)
+
+    @classmethod
+    def from_flat_row(cls, row: Row, rows: int, cols: int) -> "RatMatrix":
+        """The rows x cols matrix whose row-major flattening is the sparse row."""
+        out: list[Row] = [{} for _ in range(rows)]
+        for c, x in _as_row(row, rows * cols).items():
+            i, j = divmod(c, cols)
+            out[i][j] = x
+        return cls._wrap(out, rows, cols)
 
     @property
     def data(self) -> list[list[Entry]]:
@@ -185,12 +224,13 @@ class RatMatrix:
         return _entry(sum(row.get(i, 0) for i, row in enumerate(self.entries)))
 
     def flatten(self) -> Vector:
+        return _dense(self.flat_row(), self.rows * self.cols)
+
+    def flat_row(self) -> Row:
+        """The row-major flattening as a sparse row: entry (i, j) at i * cols + j."""
         cols = self.cols
-        out: list[Entry] = [0] * (self.rows * cols)
-        for i, row in enumerate(self.entries):
-            for j, x in row.items():
-                out[i * cols + j] = x
-        return tuple(out)
+        return {i * cols + j: x for i, row in enumerate(self.entries)
+                for j, x in row.items()}
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -290,40 +330,48 @@ def rank_of_vectors(vecs: Sequence[Sequence]) -> int:
 
 
 class Subspace:
-    """A subspace of Q^ambient_dim, held as an independent basis.
+    """A subspace of Q^ambient_dim, held as an independent basis of sparse rows.
 
-    With ``check=False`` the caller vouches that the basis is
-    independent.  The reduced row echelon form of the basis, which makes
-    membership and containment reductions, is built on the first query
-    and kept, together with the coordinates of each reduced row in the
-    basis.
+    ``rows`` is the basis; ``basis`` is the same vectors as dense tuples,
+    built on first read for callers outside the package.  With
+    ``check=False`` the caller vouches that the basis is independent.
+    The reduced row echelon form of the basis, which makes membership
+    and containment reductions, is built on the first query and kept,
+    together with the coordinates of each reduced row in the basis.
     """
 
-    def __init__(self, ambient_dim: int, basis: Iterable[Sequence], check: bool = True):
+    def __init__(self, ambient_dim: int, basis: Iterable[Row | Sequence],
+                 check: bool = True):
         self.ambient_dim = ambient_dim
-        self.basis: list[Vector] = [tuple(_entry(x) for x in v) for v in basis]
-        for v in self.basis:
-            if len(v) != ambient_dim:
-                raise ValueError("basis vector of wrong length")
+        self.rows: list[Row] = [_as_row(v, ambient_dim) for v in basis]
         # pivot column -> (reduced row, its coordinates in the basis)
         self._pivot_cache: dict[int, tuple[Row, Row]] | None = None
-        if check and len(self._pivot_rows()) != len(self.basis):
+        if check and len(self._pivot_rows()) != len(self.rows):
             raise ValueError("basis vectors are dependent")
 
     @classmethod
-    def span(cls, ambient_dim: int, vecs: Iterable[Sequence]) -> "Subspace":
+    def span(cls, ambient_dim: int, vecs: Iterable[Row | Sequence]) -> "Subspace":
         """Subspace spanned by possibly dependent vectors."""
-        rows, pivots = _rref(_sparse(v) for v in vecs)
-        sub = cls(ambient_dim, [_dense(r, ambient_dim) for r in rows], check=False)
+        rows, pivots = _rref(_as_row(v, ambient_dim) for v in vecs)
+        sub = cls(ambient_dim, rows, check=False)
         sub._pivot_cache = {p: (r, {t: 1}) for t, (p, r) in enumerate(zip(pivots, rows))}
         return sub
+
+    @cached_property
+    def basis(self) -> list[Vector]:
+        """The basis as dense tuples."""
+        return [_dense(r, self.ambient_dim) for r in self.rows]
+
+    def matrix(self) -> RatMatrix:
+        """The basis stacked as the rows of a dim x ambient_dim matrix."""
+        return RatMatrix.from_rows(self.rows, self.ambient_dim)
 
     def _pivot_rows(self) -> dict[int, tuple[Row, Row]]:
         if self._pivot_cache is None:
             amb = self.ambient_dim
             augmented = []
-            for t, v in enumerate(self.basis):
-                row = _sparse(v)
+            for t, v in enumerate(self.rows):
+                row = dict(v)
                 row[amb + t] = 1
                 augmented.append(row)
             rows, pivots = _rref(augmented)
@@ -343,33 +391,38 @@ class Subspace:
             _axpy(v, -v[p], echelon[p][0])
         return v
 
-    def _vector(self, vec: Sequence) -> Row:
-        if len(vec) != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return _sparse(vec)
-
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
-    def member(self, vec: Sequence) -> bool:
-        return not self._residual(self._vector(vec))
+    def member(self, vec: Row | Sequence) -> bool:
+        return not self._residual(_as_row(vec, self.ambient_dim))
 
     def contains(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return all(not self._residual(_sparse(v)) for v in other.basis)
+        return all(not self._residual(v) for v in other.rows)
 
     def intersection_dim(self, other: "Subspace") -> int:
+        """Dimension of the intersection, from one fraction-free elimination.
+
+        The reduced rows of self and the basis of other are eliminated
+        together; the intersection has dimension dim + other.dim - rank.
+        It equals other.dim exactly when self contains other.
+        """
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         stacked = [r for r, _ in self._pivot_rows().values()]
-        joint = len(_echelon(stacked + [_sparse(v) for v in other.basis]))
+        joint = len(_echelon(stacked + other.rows))
         return self.dim + other.dim - joint
 
-    def coords(self, vec: Sequence) -> list[Entry] | None:
-        """Coefficients of vec in the stored (original) basis, or None."""
-        v = self._vector(vec)
+    def coords(self, vec: Row | Sequence) -> Row | list[Entry] | None:
+        """Coefficients of vec in the stored (original) basis, or None.
+
+        For a sparse row they come as a sparse row, basis index ->
+        coefficient; for a dense vector, as a dense list.
+        """
+        v = _as_row(vec, self.ambient_dim)
         if self._residual(v):
             return None  # vec outside the span
         # Reduced rows are 1 at their own pivot and 0 at the others, so vec
@@ -379,36 +432,28 @@ class Subspace:
             c = v.get(p)
             if c:
                 _axpy(sol, c, coords)
-        return [sol.get(t, 0) for t in range(len(self.basis))]
-
-
-def _dense(row: Row, n: int) -> Vector:
-    out: list[Entry] = [0] * n
-    for j, x in row.items():
-        out[j] = x
-    return tuple(out)
+        if v is vec:
+            return sol
+        return [sol.get(t, 0) for t in range(len(self.rows))]
 
 
 def kernel(a: RatMatrix) -> Subspace:
     """Basis of the right null space of a; dim = cols - rank, exactly.
 
     The basis is read off the reduced row echelon form: one vector per
-    free column, 1 there, 0 at the other free columns.
+    free column, in increasing order, 1 there, 0 at the other free
+    columns, and minus that column's entry of each reduced row at the
+    row's pivot.  A reduced row is 0 at every other pivot column, so each
+    of its entries off its pivot lands in the vector of a free column.
     """
     rows, pivots = _rref(a.entries)
     pivot_set = set(pivots)
-    basis = []
-    for fc in range(a.cols):
-        if fc in pivot_set:
-            continue
-        v: list[Entry] = [0] * a.cols
-        v[fc] = 1
-        for row, pc in zip(rows, pivots):
-            x = row.get(fc)
-            if x:
-                v[pc] = -x
-        basis.append(tuple(v))
-    return Subspace(a.cols, basis, check=False)
+    basis = {fc: {fc: 1} for fc in range(a.cols) if fc not in pivot_set}
+    for row, pc in zip(rows, pivots):
+        for j, x in row.items():
+            if j != pc:
+                basis[j][pc] = -x
+    return Subspace(a.cols, basis.values(), check=False)
 
 
 def bracket(x: RatMatrix, y: RatMatrix) -> RatMatrix:

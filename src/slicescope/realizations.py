@@ -30,8 +30,9 @@ class InconsistentRealization(RealizationError):
 
 
 # Largest matrix size classical_triple builds.  `verify`, whole process on a
-# 2-core x86-64 box, took 0.5 / 0.9 / 1.4 / 2.2 s for the zero orbit of gl(n)
-# at n = 9 / 10 / 11 / 12, and 0.6 / 1.0 / 2.3 / 3.7 s for the minimal orbit
+# 2-core x86-64 box with CPython 3.11, two runs each, took 0.3 / 0.5-0.7 /
+# 0.7-0.9 / 1.5-1.6 s for the zero orbit of gl(n) at n = 9 / 10 / 11 / 12,
+# and 0.3-0.4 / 0.5-0.6 / 1.3-1.4 / 2.9-3.3 s for the minimal orbit
 # (2, 1, ..., 1), the costliest type of gl(12).  Raise the cap only after
 # timing the costliest type of each new size.
 MAX_REALIZATION_SIZE = 12
@@ -74,7 +75,7 @@ class MatrixRealization:
         """z(f) as a subspace of the flattened matrix space, built once."""
         if self._zf is None:
             self._zf = Subspace(self.family.size ** 2,
-                                [m.flatten() for m in self.zf_basis], check=False)
+                                [m.flat_row() for m in self.zf_basis], check=False)
         return self._zf
 
     def to_debug_dict(self) -> dict:
@@ -125,7 +126,7 @@ def build_algebra(n: int, gram: RatMatrix | None) -> list[RatMatrix]:
                 key = (a * n + j, col)
                 constraint[key] = constraint.get(key, 0) + x
     ker = kernel(RatMatrix.from_entries(n * n, n * n, constraint))
-    return [RatMatrix.from_flat(v, n, n) for v in ker.basis]
+    return [RatMatrix.from_flat_row(v, n, n) for v in ker.rows]
 
 
 def _ad_kernel_in(g_basis: list[RatMatrix], op: RatMatrix) -> list[RatMatrix]:
@@ -136,13 +137,12 @@ def _ad_kernel_in(g_basis: list[RatMatrix], op: RatMatrix) -> list[RatMatrix]:
     g basis.
     """
     n = op.rows
-    cols = [bracket(op, b).flatten() for b in g_basis]
-    ker = kernel(RatMatrix(cols).transpose())
-    if not ker.basis:
+    cols = [bracket(op, b).flat_row() for b in g_basis]
+    ker = kernel(RatMatrix.from_rows(cols, n * n).transpose())
+    if not ker.dim:
         return []
-    flat = RatMatrix(ker.basis) @ RatMatrix([b.flatten() for b in g_basis])
-    return [RatMatrix.from_entries(n, n, {divmod(c, n): x for c, x in row.items()})
-            for row in flat.entries]
+    flat = ker.matrix() @ RatMatrix.from_rows([b.flat_row() for b in g_basis], n * n)
+    return [RatMatrix.from_flat_row(row, n, n) for row in flat.entries]
 
 
 def _sl2_on_jordan_block(m: int) -> tuple[RatMatrix, RatMatrix, RatMatrix]:
@@ -308,14 +308,13 @@ def weight_space_dims(r: MatrixRealization, cartan: RatMatrix,
     The listed weights must exhaust z(f); raises otherwise.
     """
     zf = r.zf_subspace()
-    ad = []  # matrix of ad(cartan) on z(f), in zf coordinates
-    for b in r.zf_basis:
-        img = bracket(cartan, b)
-        coords = zf.coords(img.flatten())
+    ad = {}  # matrix of ad(cartan) on z(f), in zf coordinates
+    for t, b in enumerate(r.zf_basis):
+        coords = zf.coords(bracket(cartan, b).flat_row())
         if coords is None:
             raise RealizationError("ad(cartan) does not preserve z(f)")
-        ad.append(coords)
-    a = RatMatrix(list(zip(*ad)))
+        ad.update(((s, t), x) for s, x in coords.items())
+    a = RatMatrix.from_entries(r.dim_zf, r.dim_zf, ad)
     dims: dict[int, int] = {}
     for w in weights:
         shifted = a - RatMatrix.identity(a.rows).scale(w)

@@ -45,7 +45,7 @@ def slice_point(r: MatrixRealization, seed: int) -> SlicePoint:
 
 
 def _check_in_slice(r: MatrixRealization, x: RatMatrix) -> None:
-    if not r.zf_subspace().member((x - r.e).flatten()):
+    if not r.zf_subspace().member((x - r.e).flat_row()):
         raise SliceError("point is not on the slice")
 
 
@@ -115,21 +115,15 @@ def orbit_tangent(r: MatrixRealization, x: RatMatrix) -> Subspace:
     must land back in z(f); anything else means a broken realization.
     """
     _check_in_slice(r, x)
-    dg, dz = r.dim_g, r.dim_zf
-    n = dg + dz
+    dg = r.dim_g
     zf = r.zf_subspace()
-    gens = []
-    for i in range(dg):
-        v = [0] * n
-        v[i] = 1
-        gens.append(v)
+    gens = [{i: 1} for i in range(dg)]
     for c in r.q_basis:
-        img = bracket(c, x)
-        coords = zf.coords(img.flatten())
+        coords = zf.coords(bracket(c, x).flat_row())
         if coords is None:
             raise SliceError("q direction leaves z(f): broken realization")
-        gens.append([0] * dg + coords)
-    return Subspace.span(n, gens)
+        gens.append({dg + t: v for t, v in coords.items()})
+    return Subspace.span(dg + r.dim_zf, gens)
 
 
 def stabilizer_dim(r: MatrixRealization, x: RatMatrix) -> int:
@@ -137,8 +131,8 @@ def stabilizer_dim(r: MatrixRealization, x: RatMatrix) -> int:
     _check_in_slice(r, x)
     if not r.q_basis:
         return 0
-    cols = [bracket(c, x).flatten() for c in r.q_basis]
-    return kernel(RatMatrix(cols).transpose()).dim
+    cols = [bracket(c, x).flat_row() for c in r.q_basis]
+    return kernel(RatMatrix.from_rows(cols, x.rows * x.cols).transpose()).dim
 
 
 @dataclass(frozen=True)
@@ -163,22 +157,24 @@ def _check_at(r: MatrixRealization, seed: int) -> CoisotropyReport:
     gram = omega_gram(r, pt.x)
     w = orbit_tangent(r, pt.x)
     # v is omega-orthogonal to W iff (basis of W) . gram . v = 0.
-    if w.dim:
-        w_perp = kernel(RatMatrix(w.basis) @ gram)
-    else:
-        w_perp = Subspace.span(gram.rows, [])
-    contained = w.contains(w_perp)
-    # If contained, the intersection is all of the orthogonal.
-    intersection = w_perp.dim if contained else w.intersection_dim(w_perp)
+    w_perp = kernel(w.matrix() @ gram)
+    # W contains its orthogonal iff the intersection is all of it.
+    intersection = w.intersection_dim(w_perp)
+    stabilizer = stabilizer_dim(r, pt.x)
+    # W = g + [q, x], and c -> [c, x] on q has kernel the stabilizer, so two
+    # eliminations must agree: dim W = dim g + dim q - dim stabilizer.
+    if w.dim != r.dim_g + r.dim_q - stabilizer:
+        raise SliceError(f"dim W = {w.dim}, but dim g + dim q - stabilizer = "
+                         f"{r.dim_g} + {r.dim_q} - {stabilizer}: broken realization")
     return CoisotropyReport(
         case=r.label, seed=seed,
         dim_ambient=gram.rows,
         omega_rank=gram.rank(),
         dim_W=w.dim,
         dim_W_perp=w_perp.dim,
-        contained=contained,
+        contained=intersection == w_perp.dim,
         dim_intersection=intersection,
-        stabilizer_dim=stabilizer_dim(r, pt.x),
+        stabilizer_dim=stabilizer,
         inconclusive=False,
     )
 

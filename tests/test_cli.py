@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -219,6 +220,49 @@ def test_verify_broken_model_exits_1(capsys, monkeypatch):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 1 and not out
         assert err.startswith("error: ") and "triple relations fail" in err
+
+
+def test_verify_model_broken_at_the_slice_point_exits_1(capsys, monkeypatch):
+    # A g element posing as a symmetry moves the slice point out of the slice.
+    real = realizations.build_case
+
+    def broken(label):
+        r = real(label)
+        return dataclasses.replace(r, q_basis=r.q_basis + [r.g_basis[0]])
+
+    monkeypatch.setattr(realizations, "build_case", broken)
+    code, out, err = run(capsys, "verify", "--case", "gl4-hook1")
+    assert code == 1 and not out
+    assert err == "error: q direction leaves z(f): broken realization\n"
+
+
+def test_verify_cross_checks_dim_W_against_the_stabilizer(capsys, monkeypatch):
+    # dim W = dim g + dim q - stabilizer_dim, by rank-nullity on c -> [c, x];
+    # two eliminations that break it mean a broken model, not a verdict.
+    real = verifier.stabilizer_dim
+    monkeypatch.setattr(verifier, "stabilizer_dim", lambda r, x: real(r, x) + 1)
+    code, out, err = run(capsys, "verify", "--case", "sp6-33")
+    assert code == 1 and not out
+    assert err.startswith("error: dim W = ") and "broken realization" in err
+
+
+# SHA-256 over "label seed exit code", a newline and stdout, for
+# `verify --case label --seed seed` on every verify-cases label at seeds 0
+# and 1.  It pins what verify prints, which no change to how the matrix
+# core stores its vectors may move.
+VERIFY_CASES_DIGEST = "b805ecd5c05f9630e8102807ede76ded99a9adb0db4463e77923212ec2e59054"
+
+
+def test_verify_output_matches_the_recorded_digest(capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(EXPECTED_OUTPUT.parent))
+    labels = importlib.import_module("workloads").VERIFY_CASES
+    digest = hashlib.sha256()
+    for label in labels:
+        for seed in (0, 1):
+            code, out, _ = run(capsys, "verify", "--case", label, "--seed", str(seed))
+            digest.update(f"{label} {seed} {code}\n{out}".encode())
+    assert len(labels) == 38
+    assert digest.hexdigest() == VERIFY_CASES_DIGEST
 
 
 def test_verify_bad_case_usage_error(capsys):

@@ -180,6 +180,10 @@ def test_sparse_core_agrees_with_dense_reference(dense):
     stacked = a + c
     assert RatMatrix(stacked).rank() == len(_ref_rref(stacked)[1])
     assert kernel(RatMatrix(stacked)).basis == _ref_kernel(stacked, len(a))
+    # The same matrix built sparsely has the same kernel basis.
+    sparse = RatMatrix.from_entries(len(stacked), len(a), {
+        (i, j): v for i, row in enumerate(stacked) for j, v in enumerate(row)})
+    assert kernel(sparse).basis == kernel(RatMatrix(stacked)).basis
     for m in (x @ y, bracket(x, y), x + z, x - z, x.scale(Fraction(2, 3)),
               x.transpose(), RatMatrix(kernel(x).basis or [[0] * len(a)])):
         assert _is_canonical(m)
@@ -187,7 +191,15 @@ def test_sparse_core_agrees_with_dense_reference(dense):
     sa = Subspace.span(len(a), a)
     sc = Subspace.span(len(a), c)
     assert sa.contains(sc) == (len(_ref_rref(stacked)[1]) == len(_ref_rref(a)[1]))
+    assert sa.contains(sc) == (sa.intersection_dim(sc) == sc.dim)
     assert [list(v) for v in sa.basis] == _ref_rref(a)[0]
+    # Sparse rows and dense tuples are two forms of one vector.
+    assert Subspace(len(a), sa.rows, check=False).basis == sa.basis
+    assert sa.matrix().data == [list(v) for v in sa.basis]
+    assert all(sa.coords(r) == {t: 1} for t, r in enumerate(sa.rows))
+    for m in (x, y):
+        assert m.flatten() == tuple(v for row in m.data for v in row)
+        assert RatMatrix.from_flat_row(m.flat_row(), m.rows, m.cols) == m
 
 
 def test_kernel_basis_stays_exact():

@@ -44,6 +44,17 @@ def test_package_has_no_unused_imports():
     assert not unused, f"imported but never read: {unused}"
 
 
+def test_verifier_keeps_vectors_sparse():
+    # The verify path passes sparse rows end to end; the dense views are
+    # for callers outside the package.
+    path = PACKAGE / "verifier.py"
+    dense = [f"{path.name}:{node.lineno} .{node.attr}"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("basis", "flatten", "from_flat")]
+    assert not dense, f"densifying reads on the verify path: {dense}"
+
+
 def test_verify_under_python_O_matches_in_process(capsys):
     argv = ["verify", "--case", "sp6-33", "--seed", "0"]
     code = main(argv)
