@@ -3,9 +3,11 @@
 Subcommands: classify (full verdict table for one algebra), check (one
 orbit), verify (sampled coisotropy check of a matrix realization), dual
 (S-dual lookup), scan (exceptional orbit tables), sweep (brute-force
-confirmation of the classification inequalities).  Output is TSV, JSON
-lines, or a human-readable pretty format; identical invocations produce
-byte-identical output.
+confirmation of the classification inequalities).  Output is TSV or JSON
+lines, and classify and check also offer a human-readable pretty format;
+identical invocations produce byte-identical output.  check, dual and
+verify size the algebra from --partition when neither --size nor --rank
+is given.
 """
 
 from __future__ import annotations
@@ -32,14 +34,9 @@ def _family_from_args(args, n_from_partition: int | None = None) -> AlgebraFamil
     kind = args.family
     size = getattr(args, "size", None)
     rank = getattr(args, "rank", None)
-    if getattr(args, "rank_from_partition", False):
-        if n_from_partition is None:
-            raise UsageError("--rank-from-partition needs --partition")
-        inferred = n_from_partition
-        if size is not None and size != inferred:
-            raise UsageError(f"--size {size} conflicts with the partition (n={inferred})")
-        size = inferred
-    if size is None and rank is not None:
+    if size is None and rank is None:
+        size = n_from_partition
+    elif size is None:
         if kind == "gl":
             size = rank
         elif kind == "sp":
@@ -164,17 +161,14 @@ def _realization(args) -> realizations.MatrixRealization:
     """The matrix model named by --case or by --family/--partition."""
     if args.case:
         given = (args.family, args.partition, args.size, args.rank)
-        if any(x is not None for x in given) or args.rank_from_partition:
-            raise UsageError("--case takes no --family, --partition, --size, "
-                             "--rank or --rank-from-partition")
+        if any(x is not None for x in given):
+            raise UsageError("--case takes no --family, --partition, --size or --rank")
         return realizations.build_case(args.case)
     if not args.partition:
         raise UsageError("verify needs --case or --family/--partition")
     if not args.family:
         raise UsageError("--partition needs --family")
     p = _partition(args)
-    if args.size is None and args.rank is None:
-        args.rank_from_partition = True   # size the algebra from the partition
     family = _family_from_args(args, n_from_partition=p.n)
     return realizations.classical_triple(family, p)
 
@@ -274,9 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--size", type=int,
                        help="matrix size (needed for so, optional elsewhere)")
 
-    def add_format(p):
-        p.add_argument("--format", choices=["tsv", "json", "pretty"],
-                       default="tsv")
+    def add_format(p, choices=("tsv", "json", "pretty")):
+        p.add_argument("--format", choices=choices, default="tsv")
 
     p = sub.add_parser("classify", help="classify every orbit of one algebra")
     add_family(p)
@@ -286,28 +279,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="report on a single orbit")
     add_family(p)
     p.add_argument("--partition", required=True)
-    p.add_argument("--rank-from-partition", action="store_true")
     add_format(p)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("dual", help="S-dual lookup for one orbit")
     add_family(p)
     p.add_argument("--partition", required=True)
-    p.add_argument("--rank-from-partition", action="store_true")
     p.set_defaults(fn=cmd_dual)
 
     p = sub.add_parser("verify", help="sampled coisotropy verification")
     p.add_argument("--case", help="e.g. sp6-33, gl5-hook2, so7-3.3.1")
     add_family(p, required=False)
     p.add_argument("--partition")
-    p.add_argument("--rank-from-partition", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("scan", help="scan an exceptional orbit table")
     p.add_argument("--data", help="TSV table path (default: builtin G2 table)")
     p.add_argument("--algebra", choices=["G2", "F4", "E6", "E7", "E8"])
-    add_format(p)
+    add_format(p, ("tsv", "json"))
     p.set_defaults(fn=cmd_scan)
 
     p = sub.add_parser("sweep", help="brute-force inequality sweep")

@@ -15,10 +15,10 @@ depend on the row order, because the reduced row echelon form of a span
 is unique.
 
 Vectors (flattened matrices, subspace bases, kernel bases) are sparse
-rows of the same form: a dict, column -> nonzero entry.  Dense tuples
-appear only at the public edges: ``RatMatrix.data``, ``flatten`` and
-``from_flat``, and ``Subspace.basis``, a view built on first read.  A
-``Subspace`` method that takes a vector takes either form.
+rows of the same form: a dict, column -> nonzero entry.  Dense forms
+appear only at the public edges: ``RatMatrix.data``, a copy, and
+``Subspace.basis``, a view built on first read.  A ``Subspace`` method
+that takes a vector takes either form.
 """
 
 from __future__ import annotations
@@ -135,16 +135,8 @@ class RatMatrix:
         return cls._wrap([_as_row(row, cols) for row in rows], len(rows), cols)
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls._wrap([{} for _ in range(rows)], rows, cols)
-
-    @classmethod
     def identity(cls, n: int) -> "RatMatrix":
         return cls._wrap([{i: 1} for i in range(n)], n, n)
-
-    @classmethod
-    def from_flat(cls, vec: Sequence, rows: int, cols: int) -> "RatMatrix":
-        return cls.from_flat_row(_as_row(vec, rows * cols), rows, cols)
 
     @classmethod
     def from_flat_row(cls, row: Row, rows: int, cols: int) -> "RatMatrix":
@@ -168,10 +160,6 @@ class RatMatrix:
     def __eq__(self, other) -> bool:
         return (isinstance(other, RatMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(
-            (i, j, x) for i, row in enumerate(self.entries) for j, x in row.items())))
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         return self._plus(1, other)
@@ -222,9 +210,6 @@ class RatMatrix:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
         return _entry(sum(row.get(i, 0) for i, row in enumerate(self.entries)))
-
-    def flatten(self) -> Vector:
-        return _dense(self.flat_row(), self.rows * self.cols)
 
     def flat_row(self) -> Row:
         """The row-major flattening as a sparse row: entry (i, j) at i * cols + j."""

@@ -4,16 +4,16 @@ A realization packages, for one concrete nilpotent: the ambient matrix
 Lie algebra g (as a basis of the n x n matrix space cut out by a bilinear
 form, or all of gl), an sl2-triple (e, h, f) through the nilpotent, a
 basis of the centralizer z(f) (so the slice is e + span of it), and a
-basis of the reductive symmetry algebra q commuting with e and f.  All
-subspaces are found by exact kernel computations, then cross-checked
-against the combinatorial dimension formulas.
+basis of the reductive symmetry algebra q, the centralizer of the triple
+(traceless for gl).  g, z(f) and q are each found by an exact kernel,
+z(f) inside g and q inside z(f), then cross-checked against the
+combinatorial dimension formulas.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 from . import liealg
 from .exactlinalg import RatMatrix, Subspace, bracket, kernel
@@ -78,21 +78,6 @@ class MatrixRealization:
                                 [m.flat_row() for m in self.zf_basis], check=False)
         return self._zf
 
-    def to_debug_dict(self) -> dict:
-        def dump(m: RatMatrix):
-            return [[str(x) for x in row] for row in m.data]
-        return {
-            "label": self.label,
-            "family": str(self.family),
-            "jordan_type": str(self.jordan_type),
-            "n_ambient": self.family.size,
-            "e": dump(self.e), "f": dump(self.f), "h": dump(self.h),
-            "gram": dump(self.gram) if self.gram is not None else None,
-            "g_basis": [dump(m) for m in self.g_basis],
-            "zf_basis": [dump(m) for m in self.zf_basis],
-            "q_basis": [dump(m) for m in self.q_basis],
-        }
-
 
 def _unit(n: int, i: int, j: int) -> RatMatrix:
     return RatMatrix.from_entries(n, n, {(i, j): 1})
@@ -129,19 +114,26 @@ def build_algebra(n: int, gram: RatMatrix | None) -> list[RatMatrix]:
     return [RatMatrix.from_flat_row(v, n, n) for v in ker.rows]
 
 
-def _ad_kernel_in(g_basis: list[RatMatrix], op: RatMatrix) -> list[RatMatrix]:
-    """Basis of {X in span(g_basis) : [op, X] = 0}.
+def _ad_kernel_in(basis: list[RatMatrix], op: RatMatrix,
+                  traceless: bool = False) -> list[RatMatrix]:
+    """Basis of {X in span(basis) : [op, X] = 0}, and tr X = 0 if traceless.
 
-    Each basis element is a combination of g_basis with coefficients from
+    The trace is one more constraint row of the same kernel.  Each basis
+    element is a combination of the given basis with coefficients from
     the kernel; all of them come out of one product with the flattened
-    g basis.
+    basis.
     """
     n = op.rows
-    cols = [bracket(op, b).flat_row() for b in g_basis]
-    ker = kernel(RatMatrix.from_rows(cols, n * n).transpose())
+    width = n * n + 1 if traceless else n * n
+    cols = [bracket(op, b).flat_row() for b in basis]
+    if traceless:
+        for col, b in zip(cols, basis):
+            if t := b.trace():
+                col[n * n] = t
+    ker = kernel(RatMatrix.from_rows(cols, width).transpose())
     if not ker.dim:
         return []
-    flat = ker.matrix() @ RatMatrix.from_rows([b.flat_row() for b in g_basis], n * n)
+    flat = ker.matrix() @ RatMatrix.from_rows([b.flat_row() for b in basis], n * n)
     return [RatMatrix.from_flat_row(row, n, n) for row in flat.entries]
 
 
@@ -221,10 +213,12 @@ def classical_triple(family: AlgebraFamily, p: Partition) -> MatrixRealization:
     For sp and so the form is B_M (x) (invariant form on V_i), where B_M
     is the identity when the symmetry of V_i (symmetric for odd i) matches
     the ambient form and the standard symplectic form when it does not.
-    The symmetry algebra q is 1 (x) g(M_i, B_M) summed over the parts:
-    Sp(d_i) or SO(d_i) factors, or gl(d_i) for gl.  For gl the scalar
-    acts trivially, so 1 (x) E_11 of the largest part is dropped and q is
-    the traceless part of the rest.
+    z(f) is the kernel of ad f on g.  The symmetry algebra q is the
+    centralizer of the triple, the intersection of z(e) and z(f), found
+    as the kernel of ad e on z(f); for gl the scalars act trivially, so q
+    is the traceless part, with the trace one more row of that kernel.
+    It comes out as 1 (x) g(M_i, B_M) summed over the parts: Sp(d_i) or
+    SO(d_i) factors, or gl(d_i) for gl.
     """
     n = p.n
     label = f"{family.kind.lower()}{n}-{'.'.join(map(str, p.parts))}"
@@ -265,28 +259,16 @@ def classical_triple(family: AlgebraFamily, p: Partition) -> MatrixRealization:
     if len(g_basis) != family.dim:
         raise InconsistentRealization(f"{label}: algebra basis has the wrong dimension")
 
-    q_basis = []
-    zero = [RatMatrix.zeros(i * d, i * d) for i, d, _ in blocks]
-    for t, (i, d, form_m) in enumerate(blocks):
-        factor = build_algebra(d, form_m)
-        if family.kind == "GL" and t == 0:
-            factor = factor[1:]
-        for x in factor:
-            q_basis.append(_direct_sum(zero[:t] + [_kron(x, RatMatrix.identity(i))]
-                                       + zero[t + 1:]))
-    if family.kind == "GL":
-        scalar = RatMatrix.identity(n)
-        q_basis = [c - scalar.scale(Fraction(c.trace(), n)) for c in q_basis]
+    zf_basis = _ad_kernel_in(g_basis, f)
+    if len(zf_basis) != o.slice_dim:
+        raise InconsistentRealization(
+            f"{label}: dim z(f) = {len(zf_basis)}, expected {o.slice_dim}")
+    q_basis = _ad_kernel_in(zf_basis, e, traceless=family.kind == "GL")
     for c in q_basis:
         if not bracket(c, e).is_zero() or not bracket(c, f).is_zero():
             raise InconsistentRealization(f"{label}: q element fails to centralize e, f")
         if gram is not None and not _preserves(c, gram):
             raise InconsistentRealization(f"{label}: q element does not preserve the form")
-
-    zf_basis = _ad_kernel_in(g_basis, f)
-    if len(zf_basis) != o.slice_dim:
-        raise InconsistentRealization(
-            f"{label}: dim z(f) = {len(zf_basis)}, expected {o.slice_dim}")
     expected_q = o.effective_centralizer.dim
     if len(q_basis) != expected_q:
         raise InconsistentRealization(

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -58,7 +59,7 @@ def test_classify_json_records(capsys):
 
 def test_check_pretty_identity_line(capsys):
     code, out, _ = run(capsys, "check", "--family", "so", "--partition",
-                       "5,1,1", "--rank-from-partition", "--format", "pretty")
+                       "5,1,1", "--format", "pretty")
     assert code == 0
     assert "identity: 26 - 22 = 4 = 3 + 1" in out
 
@@ -75,15 +76,27 @@ def test_check_sp6_33(capsys):
 
 
 def test_dual_command(capsys):
-    code, out, _ = run(capsys, "dual", "--family", "gl", "--partition",
-                       "3,1,1", "--rank-from-partition")
+    code, out, _ = run(capsys, "dual", "--family", "gl", "--partition", "3,1,1")
     assert code == 0
     assert out.strip() == "gl(5|2) [proved]"
 
 
+
+def test_check_and_dual_size_the_algebra_from_the_partition(capsys):
+    code, out, err = run(capsys, "check", "--family", "gl", "--partition", "3,1")
+    assert (code, err) == (0, "")
+    assert out == ("family\trank\tjordan_type\tdual\tslice_dim\tq_factors"
+                   "\tlhs\trhs\tslack\tstatus\tsdual\n"
+                   "GL(4)\t4\t(3,1)\t(2,1,1)\t6\tGL(1)xGL(1)"
+                   "\t22\t24\t0\tHypersphericalHook\tgl(4|1)\n")
+    assert run(capsys, "dual", "--family", "gl", "--partition", "3,1,1") == (
+        0, "gl(5|2) [proved]\n", "")
+    # classify has no partition to size from
+    code, out, err = run(capsys, "classify", "--family", "gl")
+    assert code == 2 and err == "usage error: no rank/size given\n" and not out
+
 def test_dual_of_non_hyperspherical_exits_1(capsys):
-    code, out, _ = run(capsys, "dual", "--family", "gl", "--partition", "3,2",
-                       "--rank-from-partition")
+    code, out, _ = run(capsys, "dual", "--family", "gl", "--partition", "3,2")
     assert code == 1
     assert "no S-dual" in out
 
@@ -282,6 +295,22 @@ def test_scan_builtin_table(capsys):
     assert by_label["~A1"]["lhs"] == 20 and by_label["~A1"]["rhs"] == 20
 
 
+def test_scan_offers_tsv_and_json_only(capsys):
+    code, out, err = run(capsys, "scan")
+    assert (code, err) == (0, "")
+    assert out == ("label\torbit_dim\tslice_dim\tcentralizer\tlhs\trhs\tslack\tpasses\n"
+                   "0\t0\t14\tG2\t28\t32\t-4\tTrue\n"
+                   "A1\t6\t8\tA1\t22\t20\t2\tFalse\n"
+                   "~A1\t8\t6\tA1\t20\t20\t0\tTrue\n"
+                   "G2(a1)\t10\t4\t1\t18\t16\t2\tFalse\n"
+                   "G2\t12\t2\t1\t16\t16\t0\tTrue\n")
+    assert run(capsys, "scan", "--format", "tsv") == (0, out, "")
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--format", "pretty"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'pretty'" in capsys.readouterr().err
+
+
 def test_sweep_command(capsys):
     code, out, _ = run(capsys, "sweep", "--family", "sp", "--n-max", "10")
     assert code == 0
@@ -297,12 +326,11 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run(capsys, "check", "--family", "gl", "--rank", "4",
                        "--partition", "3,3")
     assert code == 2
-    code, _, err = run(capsys, "check", "--family", "sp", "--partition",
-                       "3,2,1", "--rank-from-partition")
+    code, _, err = run(capsys, "check", "--family", "sp", "--partition", "3,2,1")
     assert code == 2
     # a type that does not fit or is invalid is bad input for dual as for check
     for argv in (["--family", "gl", "--rank", "3", "--partition", "2,2"],
-                 ["--family", "sp", "--partition", "3,2,1", "--rank-from-partition"]):
+                 ["--family", "sp", "--partition", "3,2,1"]):
         for command in ("check", "dual"):
             code, out, err = run(capsys, command, *argv)
             assert code == 2 and err.startswith("usage error: ") and not out
@@ -338,6 +366,19 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "usage error" in err and not out
 
 
+
+def test_oversized_partitions_are_refused_before_expansion(capsys):
+    for command in ("check", "dual", "verify"):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, command, "--family", "gl", "--partition", "1^200000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and err.startswith("usage error: ") and not out, command
+        assert "size 200000" in err
+        assert peak < 1 << 20, (command, peak)
+
 def test_missing_subcommand_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit):
         main([])
@@ -349,8 +390,7 @@ def test_one_process_matches_fresh_processes(capsys):
         ["classify", "--family", "gl", "--rank", "3"],
         ["classify", "--family", "so", "--rank", "3"],
         ["verify", "--family", "gl", "--partition", "3,2"],
-        ["check", "--family", "so", "--partition", "5,1,1",
-         "--rank-from-partition", "--format", "json"],
+        ["check", "--family", "so", "--partition", "5,1,1", "--format", "json"],
     ]
     in_process = [run(capsys, *argv) for argv in calls]
     src = Path(slicescope.__file__).resolve().parent.parent

@@ -44,6 +44,29 @@ def test_package_has_no_unused_imports():
     assert not unused, f"imported but never read: {unused}"
 
 
+def test_package_has_no_orphaned_private_helpers():
+    # A module-level _name is the module's own; if the module never reads
+    # it, nothing does.
+    orphaned = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defined = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = node.lineno
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        defined[target.id] = node.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        orphaned += [f"{path.name}:{line} {name}" for name, line in defined.items()
+                     if name.startswith("_") and not name.startswith("__")
+                     and name not in read]
+    assert not orphaned, f"private names the module never reads: {orphaned}"
+
+
 def test_verifier_keeps_vectors_sparse():
     # The verify path passes sparse rows end to end; the dense views are
     # for callers outside the package.

@@ -1,14 +1,14 @@
 import dataclasses
-import json
 
 import pytest
 
-from slicescope.exactlinalg import RatMatrix, bracket, kernel
+from slicescope.exactlinalg import RatMatrix, Subspace, bracket, kernel
 from slicescope.liealg import (AlgebraFamily, effective_centralizer, exceptional, gl,
                                orbit_datum, so, sp)
-from slicescope.partitions import Partition, hook_parameters, valid_jordan_types
-from slicescope.realizations import (RealizationError, _ad_kernel_in,
-                                     _sl2_on_jordan_block, _standard_symplectic,
+from slicescope.partitions import (Partition, hook_parameters, multiplicities,
+                                   valid_jordan_types)
+from slicescope.realizations import (RealizationError, _ad_kernel_in, _direct_sum,
+                                     _kron, _sl2_on_jordan_block, _standard_symplectic,
                                      build_algebra, build_case, classical_triple,
                                      invariant_form_on_block,
                                      sp6_q_cartan, weight_space_dims)
@@ -33,9 +33,9 @@ def _product_defined_algebra(n, gram):
     for i in range(n):
         for j in range(n):
             x = RatMatrix.from_entries(n, n, {(i, j): 1})
-            cols.append((x.transpose() @ gram + gram @ x).flatten())
-    ker = kernel(RatMatrix(cols).transpose())
-    return [RatMatrix.from_flat(v, n, n) for v in ker.basis]
+            cols.append((x.transpose() @ gram + gram @ x).flat_row())
+    ker = kernel(RatMatrix.from_rows(cols, n * n).transpose())
+    return [RatMatrix.from_flat_row(v, n, n) for v in ker.rows]
 
 
 def _small_sp_so_types():
@@ -58,13 +58,12 @@ def test_build_algebra_matches_the_product_defined_map():
 def _scaled_sum_ad_kernel(g_basis, op):
     """The kernel basis of ad(op) on span(g_basis), each a sum of scaled g elements."""
     n = op.rows
-    cols = [bracket(op, b).flatten() for b in g_basis]
+    cols = [bracket(op, b).flat_row() for b in g_basis]
     out = []
-    for coeffs in kernel(RatMatrix(cols).transpose()).basis:
-        acc = RatMatrix.zeros(n, n)
-        for c, b in zip(coeffs, g_basis):
-            if c:
-                acc = acc + b.scale(c)
+    for coeffs in kernel(RatMatrix.from_rows(cols, n * n).transpose()).rows:
+        acc = RatMatrix.from_entries(n, n, {})
+        for t, c in coeffs.items():
+            acc = acc + g_basis[t].scale(c)
         out.append(acc)
     return out
 
@@ -81,11 +80,53 @@ def test_zf_basis_matches_the_scaled_sum():
     assert checked == 127
 
 
+
+def _closed_form_q(r):
+    """1 (x) g(M_i, B_M) summed over the parts, traceless for gl.
+
+    Each factor is built on its multiplicity space M_i, with the form the
+    centralizer factor of its part names, and placed at its part's block.
+    """
+    n = r.family.size
+    mults = list(multiplicities(r.jordan_type).items())
+    out = []
+    offset = 0
+    for (i, d), factor in zip(mults, reversed(r.orbit.centralizer.factors)):
+        if factor.kind == "GL":
+            form_m = None
+        elif factor.kind == "SO":
+            form_m = RatMatrix.identity(d)
+        else:
+            form_m = _standard_symplectic(d)
+        before = RatMatrix.from_entries(offset, offset, {})
+        after = RatMatrix.from_entries(n - offset - i * d, n - offset - i * d, {})
+        for x in build_algebra(d, form_m):
+            out.append(_direct_sum([before, _kron(x, RatMatrix.identity(i)), after]))
+        offset += i * d
+    if r.family.kind == "GL":
+        scalar = RatMatrix.identity(n)
+        out = [c.scale(n) - scalar.scale(c.trace()) for c in out]
+    return out
+
+
+def test_q_basis_spans_the_closed_form_centralizer():
+    checked = 0
+    for kind in ("GL", "Sp", "SO"):
+        for n in range(1, 9):
+            for p in valid_jordan_types(kind, n):
+                r = classical_triple(AlgebraFamily(kind, n), p)
+                q = Subspace(n * n, [c.flat_row() for c in r.q_basis])
+                oracle = Subspace.span(n * n, [c.flat_row() for c in _closed_form_q(r)])
+                assert q.dim == oracle.dim == r.orbit.effective_centralizer.dim, (kind, p)
+                assert q.intersection_dim(oracle) == q.dim, (kind, p)
+                checked += 1
+    assert checked == 127
+
 def test_build_algebra_rejects_bad_gram():
     with pytest.raises(RealizationError):
         build_algebra(2, RatMatrix([[1, 1], [0, 1]]))   # neither symmetric
     with pytest.raises(RealizationError):
-        build_algebra(2, RatMatrix.zeros(2, 2))         # degenerate
+        build_algebra(2, RatMatrix.from_entries(2, 2, {}))   # degenerate
 
 
 def test_algebra_elements_preserve_form():
@@ -221,11 +262,3 @@ def test_build_case_labels():
     with pytest.raises(RealizationError):
         build_case("gl3-hook3")  # leaves no big part
 
-
-def test_debug_dict_is_json_serializable():
-    r = build_case("gl4-hook1")
-    blob = json.dumps(r.to_debug_dict())
-    data = json.loads(blob)
-    assert data["label"] == "gl4-hook1"
-    assert data["n_ambient"] == 4
-    assert len(data["zf_basis"]) == r.dim_zf
