@@ -9,10 +9,12 @@ is a Python ``int``, or a ``fractions.Fraction`` whose denominator is
 not 1; every operation keeps that form, and every division goes through
 ``Fraction``.  Products, sums, traces and eliminations touch only the
 nonzero entries, and a commutator xy - yx is one pass that accumulates
-both products row by row, with no intermediate matrix.  Elimination
-takes rows sparsest first, which keeps fill-in down; its results do not
-depend on the row order, because the reduced row echelon form of a span
-is unique.
+both products row by row, with no intermediate matrix.  ``ad_rows``
+maps a whole basis of flattened matrices Y to the flattened [op, Y],
+indexing op by column once, so no matrix is built per element.
+Elimination takes rows sparsest first, which keeps fill-in down; its
+results do not depend on the row order, because the reduced row echelon
+form of a span is unique.
 
 Vectors (flattened matrices, subspace bases, kernel bases) are sparse
 rows of the same form: a dict, column -> nonzero entry.  Dense forms
@@ -461,6 +463,38 @@ def bracket(x: RatMatrix, y: RatMatrix) -> RatMatrix:
                 acc[j] = acc.get(j, 0) - a * b
         out.append(_clean(acc))
     return RatMatrix._wrap(out, x.rows, x.cols)
+
+
+def ad_rows(op: RatMatrix, rows: Sequence[Row]) -> list[Row]:
+    """The flattened [op, Y] for each flattened n x n sparse row Y.
+
+    Equal to ``bracket(op, Y).flat_row()``, with no matrix built for Y
+    or its image.  Op is indexed by column once per call; then an entry
+    y at (k, l) of Y adds y * op_ik at (i, l) (from op Y) and
+    -y * op_lj at (k, j) (from Y op).
+    """
+    n = op.rows
+    if op.cols != n:
+        raise ValueError("ad_rows needs a square matrix")
+    entries = op.entries
+    by_col: list[list[tuple[int, Entry]]] = [[] for _ in range(n)]
+    for i, orow in enumerate(entries):
+        for k, a in orow.items():
+            by_col[k].append((i, a))
+    out = []
+    for row in rows:
+        acc: Row = {}
+        for c, y in _as_row(row, n * n).items():
+            k, l = divmod(c, n)
+            for i, a in by_col[k]:
+                key = i * n + l
+                acc[key] = acc.get(key, 0) + a * y
+            base = k * n
+            for j, b in entries[l].items():
+                key = base + j
+                acc[key] = acc.get(key, 0) - y * b
+        out.append(_clean(acc))
+    return out
 
 
 def trace_form(x: RatMatrix, y: RatMatrix) -> Entry:

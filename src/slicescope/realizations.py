@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from . import liealg
-from .exactlinalg import RatMatrix, Subspace, bracket, kernel
+from .exactlinalg import RatMatrix, Subspace, ad_rows, bracket, kernel
 from .liealg import AlgebraFamily, OrbitDatum
 from .partitions import Partition, multiplicities
 
@@ -30,11 +30,11 @@ class InconsistentRealization(RealizationError):
 
 
 # Largest matrix size classical_triple builds.  `verify`, whole process on a
-# 2-core x86-64 box with CPython 3.11, two runs each, took 0.3 / 0.5-0.7 /
-# 0.7-0.9 / 1.5-1.6 s for the zero orbit of gl(n) at n = 9 / 10 / 11 / 12,
-# and 0.3-0.4 / 0.5-0.6 / 1.3-1.4 / 2.9-3.3 s for the minimal orbit
-# (2, 1, ..., 1), the costliest type of gl(12).  Raise the cap only after
-# timing the costliest type of each new size.
+# 2-core x86-64 box with CPython 3.11, two runs each, took 0.3-0.4 / 0.5 /
+# 0.8-1.0 / 1.7-2.1 s for the zero orbit of gl(n) at n = 9 / 10 / 11 / 12,
+# the costliest type of gl(12), and 0.2 / 0.3-0.4 / 0.5-0.6 / 1.2-1.3 s
+# for the minimal orbit (2, 1, ..., 1), the next costliest.  Raise the cap
+# only after timing the costliest type of each new size.
 MAX_REALIZATION_SIZE = 12
 
 
@@ -125,7 +125,8 @@ def _ad_kernel_in(basis: list[RatMatrix], op: RatMatrix,
     """
     n = op.rows
     width = n * n + 1 if traceless else n * n
-    cols = [bracket(op, b).flat_row() for b in basis]
+    flat = [b.flat_row() for b in basis]
+    cols = ad_rows(op, flat)
     if traceless:
         for col, b in zip(cols, basis):
             if t := b.trace():
@@ -133,8 +134,8 @@ def _ad_kernel_in(basis: list[RatMatrix], op: RatMatrix,
     ker = kernel(RatMatrix.from_rows(cols, width).transpose())
     if not ker.dim:
         return []
-    flat = ker.matrix() @ RatMatrix.from_rows([b.flat_row() for b in basis], n * n)
-    return [RatMatrix.from_flat_row(row, n, n) for row in flat.entries]
+    combos = ker.matrix() @ RatMatrix.from_rows(flat, n * n)
+    return [RatMatrix.from_flat_row(row, n, n) for row in combos.entries]
 
 
 def _sl2_on_jordan_block(m: int) -> tuple[RatMatrix, RatMatrix, RatMatrix]:

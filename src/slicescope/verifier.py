@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, replace
 
-from .exactlinalg import RatMatrix, Subspace, bracket, kernel, trace_form
+from .exactlinalg import RatMatrix, Subspace, ad_rows, trace_form
 from .realizations import MatrixRealization
 
 _BOX = 5          # sample coefficients from [-BOX, BOX]
@@ -75,30 +75,34 @@ def omega_gram(r: MatrixRealization, x: RatMatrix) -> RatMatrix:
     z(f), the form is (x, [xi, eta]) + (u, eta) - (v, xi), with (-,-)
     the trace pairing.
 
-    Only pairs whose supports meet are paired.  tr(ab) is the sum of
-    a_kl b_lk over the nonzero entries a_kl of a, so when no (k, l) in the
-    support of a has (l, k) in the support of b, every term is zero and
-    so is the entry: skipping the pair cannot drop a nonzero entry.  The
-    g and z(f) basis elements are indexed by the transposed positions of
-    their nonzero entries, and each element looks up the ones it meets.
+    The g x g block rests on two identities.  Invariance of the trace
+    pairing gives (x, [b_i, b_j]) = ([x, b_i], b_j), so one bracket per
+    basis element replaces one per pair; and tr(ab) is the sum of
+    a_kl b_lk, the dot product of the flattened a with the flattened
+    transpose of b.  So the block is one sparse product: the flattened
+    [x, b_i] as rows times the flattened transposes of the g basis as
+    columns.  It is antisymmetric, so only j > i is read from it.
+
+    The g x z(f) block pairs only elements whose supports meet: when no
+    (k, l) in the support of a has (l, k) in the support of b, every
+    term of tr(ab) is zero, so skipping the pair cannot drop a nonzero
+    entry.  The z(f) basis is indexed by the transposed positions of its
+    nonzero entries, and each g element looks up the ones it meets.
     """
     _check_in_slice(r, x)
     dg, dz = r.dim_g, r.dim_zf
-    g_index = _by_transposed_support(r.g_basis)
-    zf_index = _by_transposed_support(r.zf_basis)
+    n = x.rows
+    ad_x = ad_rows(x, [b.flat_row() for b in r.g_basis])
+    g_t = RatMatrix.from_rows([b.transpose().flat_row() for b in r.g_basis], n * n)
+    pairs = RatMatrix.from_rows(ad_x, n * n) @ g_t.transpose()
     gram = {}
-    # Invariance of the trace pairing: (x, [b_i, b_j]) = ([x, b_i], b_j),
-    # so one bracket per basis element replaces one per basis pair.
-    ad_x = [bracket(x, bi) for bi in r.g_basis]
-    for i in range(dg):
-        for j in _meeting(ad_x[i], g_index):
-            if j <= i:
-                continue
-            val = trace_form(ad_x[i], r.g_basis[j])
-            if val:
+    for i, row in enumerate(pairs.entries):
+        for j, val in row.items():
+            if j > i:
                 gram[i, j] = val
                 gram[j, i] = -val
-        bi = r.g_basis[i]
+    zf_index = _by_transposed_support(r.zf_basis)
+    for i, bi in enumerate(r.g_basis):
         for j in _meeting(bi, zf_index):
             val = -trace_form(r.zf_basis[j], bi)
             if val:
@@ -111,15 +115,16 @@ def orbit_tangent(r: MatrixRealization, x: RatMatrix) -> Subspace:
     """Tangent space of the symmetry-group orbit at (1, x).
 
     In g + z(f) coordinates: all of g (left translations), plus the
-    directions [c, x] for c in q (the slice rotations).  Each bracket
-    must land back in z(f); anything else means a broken realization.
+    directions [c, x] for c in q (the slice rotations), taken as their
+    negatives [x, c], which span the same space.  Each must land back in
+    z(f); anything else means a broken realization.
     """
     _check_in_slice(r, x)
     dg = r.dim_g
     zf = r.zf_subspace()
     gens = [{i: 1} for i in range(dg)]
-    for c in r.q_basis:
-        coords = zf.coords(bracket(c, x).flat_row())
+    for col in ad_rows(x, [c.flat_row() for c in r.q_basis]):
+        coords = zf.coords(col)
         if coords is None:
             raise SliceError("q direction leaves z(f): broken realization")
         gens.append({dg + t: v for t, v in coords.items()})
@@ -127,12 +132,15 @@ def orbit_tangent(r: MatrixRealization, x: RatMatrix) -> Subspace:
 
 
 def stabilizer_dim(r: MatrixRealization, x: RatMatrix) -> int:
-    """Dimension of {c in q : [c, x] = 0}."""
+    """Dimension of {c in q : [c, x] = 0}: dim q minus the rank of c -> [c, x].
+
+    The rank is taken of the n^2 x dim q matrix with the flattened
+    brackets as columns: its short rows fill in less than dim q rows of
+    length n^2 would.
+    """
     _check_in_slice(r, x)
-    if not r.q_basis:
-        return 0
-    cols = [bracket(c, x).flat_row() for c in r.q_basis]
-    return kernel(RatMatrix.from_rows(cols, x.rows * x.cols).transpose()).dim
+    cols = ad_rows(x, [c.flat_row() for c in r.q_basis])
+    return r.dim_q - RatMatrix.from_rows(cols, x.rows * x.cols).transpose().rank()
 
 
 @dataclass(frozen=True)
@@ -152,14 +160,45 @@ class CoisotropyReport:
         return asdict(self)
 
 
+def _containment(m: RatMatrix, gram: RatMatrix, omega_rank: int) -> tuple[int, int, bool]:
+    """(dim W-perp, dim of W meet W-perp, W contains W-perp) for W = row space of m.
+
+    The rows of m must be independent, and omega_rank must be the rank
+    of gram.  v is omega-orthogonal to W iff m . gram . v = 0, so
+    dim W-perp = ambient - rank(m . gram); when gram is invertible that
+    rank is dim W, and no elimination is needed.  A vector m^T a of W
+    lies in W-perp iff (m . gram . m^T) a = 0, and a -> m^T a is
+    injective, so W meet W-perp, the radical of omega on W, has
+    dimension dim W - rank(m . gram . m^T).  W contains W-perp iff that
+    intersection is all of W-perp.
+    """
+    ambient = gram.rows
+    mg = m @ gram
+    dim_perp = ambient - (m.rows if omega_rank == ambient else mg.rank())
+    intersection = m.rows - (mg @ m.transpose()).rank()
+    return dim_perp, intersection, intersection == dim_perp
+
+
 def _check_at(r: MatrixRealization, seed: int) -> CoisotropyReport:
+    """Coisotropy report at one sampled point.
+
+    omega is nondegenerate on G x S_e, a Whittaker reduction of T*G
+    (Gan-Ginzburg, IMRN 2002), but its rank is still computed, as a check
+    on the model: a degenerate sample makes the report inconclusive.  At
+    full rank dim W-perp = ambient - dim W, and containment is decided
+    from the rank of omega restricted to W (see ``_containment``), not
+    from a basis of W-perp.
+    """
     pt = slice_point(r, seed)
     gram = omega_gram(r, pt.x)
+    omega_rank = gram.rank()
     w = orbit_tangent(r, pt.x)
-    # v is omega-orthogonal to W iff (basis of W) . gram . v = 0.
-    w_perp = kernel(w.matrix() @ gram)
-    # W contains its orthogonal iff the intersection is all of it.
-    intersection = w.intersection_dim(w_perp)
+    # W's basis is the unit rows of g, then the rotation directions.  In
+    # reverse, the restricted form's first columns are the rotation ones,
+    # which vanish on the rotation rows (omega pairs no two z(f) vectors),
+    # and elimination pivots on them first: it fills in far less.
+    m = RatMatrix.from_rows(w.rows[::-1], w.ambient_dim)
+    dim_perp, intersection, contained = _containment(m, gram, omega_rank)
     stabilizer = stabilizer_dim(r, pt.x)
     # W = g + [q, x], and c -> [c, x] on q has kernel the stabilizer, so two
     # eliminations must agree: dim W = dim g + dim q - dim stabilizer.
@@ -169,10 +208,10 @@ def _check_at(r: MatrixRealization, seed: int) -> CoisotropyReport:
     return CoisotropyReport(
         case=r.label, seed=seed,
         dim_ambient=gram.rows,
-        omega_rank=gram.rank(),
+        omega_rank=omega_rank,
         dim_W=w.dim,
-        dim_W_perp=w_perp.dim,
-        contained=intersection == w_perp.dim,
+        dim_W_perp=dim_perp,
+        contained=contained,
         dim_intersection=intersection,
         stabilizer_dim=stabilizer,
         inconclusive=False,

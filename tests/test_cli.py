@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import slicescope
-from slicescope import classifier, liealg, realizations, verifier
+from slicescope import classifier, exactlinalg, liealg, realizations, verifier
 from slicescope.cli import main
 
 # The classify/sweep commands of the benchmark, with the SHA-256 of their stdout.
@@ -219,6 +219,25 @@ def test_omega_gram_pairs_only_supports_that_meet(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "--case", "sp8-hook6")
     assert code == 0 and grams
     assert len(traces) <= len(grams) * all_pairs // 4
+
+
+def test_verify_brackets_only_to_check_the_model(capsys, monkeypatch):
+    # The triple relations and [c, e] = [c, f] = 0 for each c in q are the
+    # only bracket calls: 3 + 2 * 21 for sp8-hook6, whose q is sp(6).
+    # Everything else applies ad to whole bases at once.
+    real, calls = exactlinalg.bracket, []
+
+    def counted(x, y):
+        calls.append(1)
+        return real(x, y)
+
+    for module in (exactlinalg, realizations, verifier):
+        for name, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, name, counted)
+    code, _, _ = run(capsys, "verify", "--case", "sp8-hook6")
+    assert code == 0
+    assert len(calls) == 45
 
 
 def test_verify_broken_model_exits_1(capsys, monkeypatch):

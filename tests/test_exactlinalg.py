@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slicescope.exactlinalg import (RatMatrix, Subspace, _rref, _sparse, bracket,
-                                    kernel, rank_of_vectors, trace_form)
+from slicescope.exactlinalg import (RatMatrix, Subspace, _rref, _sparse, ad_rows,
+                                    bracket, kernel, rank_of_vectors, trace_form)
 
 
 def test_kernel_identity_is_trivial():
@@ -201,6 +201,34 @@ def test_sparse_core_agrees_with_dense_reference(dense):
         dense = [v for row in m.data for v in row]
         assert m.flat_row() == {c: v for c, v in enumerate(dense) if v}
         assert RatMatrix.from_flat_row(m.flat_row(), m.rows, m.cols) == m
+
+
+@st.composite
+def _ad_inputs(draw):
+    """An n x n operator and up to four n x n matrices, n from 1 to 4."""
+    n = draw(st.integers(1, 4))
+    return draw(_matrices(n, n)), draw(st.lists(_matrices(n, n), max_size=4))
+
+
+@given(_ad_inputs())
+@settings(max_examples=100, deadline=None)
+def test_ad_rows_is_the_flattened_bracket(inputs):
+    op_dense, ys = inputs
+    op = RatMatrix(op_dense)
+    mats = [RatMatrix(y) for y in ys] + [RatMatrix.from_entries(op.rows, op.rows, {})]
+    got = ad_rows(op, [m.flat_row() for m in mats])
+    assert got == [bracket(op, m).flat_row() for m in mats]
+    assert got[-1] == {}
+    assert _is_canonical(RatMatrix.from_rows(got, op.rows ** 2))
+
+
+def test_ad_rows_rejects_bad_shapes():
+    op = RatMatrix([[1, 2], [3, 4]])
+    for row in ({4: 1}, {-1: 1}):
+        with pytest.raises(ValueError):
+            ad_rows(op, [{0: 1}, row])
+    with pytest.raises(ValueError):
+        ad_rows(RatMatrix([[1, 2, 3], [4, 5, 6]]), [{0: 1}])
 
 
 def test_kernel_basis_stays_exact():

@@ -1,12 +1,18 @@
+import importlib
+import random
+from pathlib import Path
+
 import pytest
 
 from slicescope.classifier import classify, predicted_coisotropy
-from slicescope.exactlinalg import RatMatrix, bracket, trace_form
+from slicescope.exactlinalg import RatMatrix, Subspace, bracket, kernel, trace_form
 from slicescope.liealg import AlgebraFamily, gl, orbit_datum
 from slicescope.realizations import build_case, classical_triple
-from slicescope.verifier import (SliceError, coisotropy_check, omega_gram,
+from slicescope.verifier import (SliceError, _containment, coisotropy_check, omega_gram,
                                  orbit_tangent, slice_point, stabilizer_dim)
 from slicescope.partitions import Partition, valid_jordan_types
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_slice_point_is_deterministic():
@@ -134,3 +140,64 @@ def test_report_serializes():
     assert set(d) == {"case", "seed", "dim_ambient", "omega_rank", "dim_W",
                       "dim_W_perp", "contained", "dim_intersection",
                       "stabilizer_dim", "inconclusive"}
+
+
+def _kernel_containment(w, gram):
+    """(dim W-perp, dim of W meet W-perp, contained) from a basis of W-perp."""
+    w_perp = kernel(w.matrix() @ gram)
+    intersection = w.intersection_dim(w_perp)
+    return w_perp.dim, intersection, intersection == w_perp.dim
+
+
+def _kernel_stabilizer(r, x):
+    """dim {c in q : [c, x] = 0} as the dimension of a kernel basis."""
+    if not r.q_basis:
+        return 0
+    cols = [bracket(c, x).flat_row() for c in r.q_basis]
+    return kernel(RatMatrix.from_rows(cols, x.rows * x.cols).transpose()).dim
+
+
+def test_rank_shortcuts_match_the_kernels(monkeypatch):
+    """Containment and the stabilizer from ranks equal their kernel-basis values.
+
+    Samples: the verify-cases labels at seeds 0 and 1, and every valid
+    gl/sp/so type with n <= 8 at seed 0.
+    """
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    labels = importlib.import_module("workloads").VERIFY_CASES
+    samples = [(build_case(label), seed) for label in labels for seed in (0, 1)]
+    samples += [(classical_triple(AlgebraFamily(kind, n), p), 0)
+                for kind in ("GL", "Sp", "SO") for n in range(1, 9)
+                for p in valid_jordan_types(kind, n)]
+    assert len(samples) == 2 * 38 + 127
+    for r, seed in samples:
+        x = slice_point(r, seed).x
+        gram = omega_gram(r, x)
+        w = orbit_tangent(r, x)
+        got = _containment(w.matrix(), gram, gram.rank())
+        assert got == _kernel_containment(w, gram), (r.label, seed)
+        assert stabilizer_dim(r, x) == _kernel_stabilizer(r, x), (r.label, seed)
+
+
+def test_containment_on_degenerate_forms():
+    # Congruent images of antisymmetric forms with a zero block, so the
+    # rank of m . gram has to be computed.
+    rng = random.Random(0)
+    checked = 0
+    while checked < 60:
+        k = rng.randint(1, 6)
+        core = rng.randint(0, k - 1)
+        form = {}
+        for i in range(core):
+            for j in range(i + 1, core):
+                form[i, j] = v = rng.randint(-2, 2)
+                form[j, i] = -v
+        p = RatMatrix([[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)])
+        if p.rank() < k:
+            continue
+        gram = p.transpose() @ RatMatrix.from_entries(k, k, form) @ p
+        assert gram.rank() < k
+        w = Subspace.span(k, [[rng.randint(-1, 1) for _ in range(k)]
+                              for _ in range(rng.randint(0, k))])
+        assert _containment(w.matrix(), gram, gram.rank()) == _kernel_containment(w, gram)
+        checked += 1
