@@ -182,9 +182,9 @@ def predicted_coisotropy(v: Verdict) -> dict[str, object]:
 
 
 # Largest matrix size enumerate_and_classify accepts.  As a whole process,
-# `classify --family gl --rank 40` (37338 types) takes 2.2-2.5 s on a
-# 2-core x86-64 box with CPython 3.11, and the number of types grows like
-# exp(sqrt(n)) beyond it.
+# `classify --family gl --rank 40` (37338 types) takes 1.4-2.2 s on a
+# 2-core x86-64 box with CPython 3.11 (six runs), and the number of types
+# grows like exp(sqrt(n)) beyond it.
 MAX_ENUMERATION_SIZE = 40
 
 

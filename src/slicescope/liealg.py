@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress
-from operator import mul, sub
+from operator import mul
 
-from .partitions import Partition, dual, is_valid_jordan_type
+from .partitions import Partition
 
 _EXCEPTIONAL = {  # kind -> (dim, rank)
     "G2": (14, 2),
@@ -140,64 +139,34 @@ class ReductiveProduct:
 TRIVIAL_PRODUCT = ReductiveProduct(())
 
 
-def _require_valid(family: AlgebraFamily, p: Partition) -> None:
-    if family.kind not in ("GL", "Sp", "SO"):
-        raise ValueError("Jordan types are only modeled for classical families")
-    if p.n != family.size:
-        raise ValueError(f"partition of {p.n} does not fit {family}")
-    if not is_valid_jordan_type(p, family.kind):
-        raise ValueError(f"{p} is not a valid {family.kind} Jordan type")
-
-
-def _slice_dim(family: AlgebraFamily, p: Partition, mu: Partition) -> int:
-    """Dimension of the slice e + z(f) at a valid type p with transpose mu.
-
-    sum(mu_i^2) for GL, and (sum(mu_i^2) +/- #odd parts of p)/2 for Sp / SO.
-    Both the alternating-sum and odd-part-count readings of the correction
-    term are evaluated and must agree.
-    """
-    m = mu.parts
-    sq = sum(map(mul, m, m))
-    if family.kind == "GL":
-        return sq
-    alternating = sum(m[::2]) - sum(m[1::2])
-    odd = sum(map((1).__and__, p.parts))
-    if alternating != odd:
-        raise AssertionError("dual alternating sum must count odd parts")
-    num = sq + odd if family.kind == "Sp" else sq - odd
-    if num % 2:
-        raise AssertionError(f"odd numerator {num} in the slice dimension")
-    return num // 2
-
-
 @lru_cache(maxsize=256)
 def _factor(kind: str, size: int) -> AlgebraFamily:
     """The one shared centralizer factor of a classical kind and matrix size."""
     return AlgebraFamily(kind, size)
 
 
-def _centralizer(family: AlgebraFamily, mu: Partition) -> ReductiveProduct:
-    """Reductive centralizer of an sl2-triple through the valid type with
-    transpose mu, as a product.
+# Kind of the centralizer factor of a run of equal parts, indexed by the
+# parity of the part: GL gives GL factors; Sp gives Sp at odd parts and SO
+# at even parts; SO swaps the two.
+_FACTOR_KINDS = {"GL": ("GL", "GL"), "Sp": ("SO", "Sp"), "SO": ("Sp", "SO")}
 
-    With d_i = mu_i - mu_{i+1} (the multiplicity of the part i): GL
-    contributes GL(d_i) for every i; Sp contributes Sp(d_i) at odd i and
-    SO(d_i) at even i; SO swaps the two.
+
+def _slice_dim(kind: str, mu: list[int], odd: int) -> int:
+    """Dimension of the slice e + z(f) at a valid type with transpose mu
+    and `odd` odd parts.
+
+    sum(mu_i^2) for GL, and (sum(mu_i^2) +/- odd)/2 for Sp / SO, where the
+    alternating sum of mu must count the odd parts too.
     """
-    kind = family.kind
-    m = mu.parts
-    mult = list(map(sub, m, m[1:] + (0,)))
-    factors = []
-    for i, d in compress(enumerate(mult, start=1), mult):   # only the parts present
-        if kind == "GL":
-            factors.append(_factor("GL", d))
-        elif (i % 2 == 1) == (kind == "Sp"):   # Sp factors: odd i in Sp, even i in SO
-            if d % 2:
-                raise AssertionError(f"odd-size Sp factor from a valid {kind} type")
-            factors.append(_factor("Sp", d))
-        else:
-            factors.append(_factor("SO", d))
-    return ReductiveProduct(tuple(factors))
+    sq = sum(map(mul, mu, mu))
+    if kind == "GL":
+        return sq
+    if sum(mu[::2]) - sum(mu[1::2]) != odd:
+        raise AssertionError("dual alternating sum must count odd parts")
+    num = sq + odd if kind == "Sp" else sq - odd
+    if num % 2:
+        raise AssertionError(f"odd numerator {num} in the slice dimension")
+    return num // 2
 
 
 def effective_centralizer(family: AlgebraFamily, p: Partition) -> ReductiveProduct:
@@ -249,17 +218,40 @@ class OrbitDatum:
 
 
 def orbit_datum(family: AlgebraFamily, p: Partition) -> OrbitDatum:
-    _require_valid(family, p)
-    mu = dual(p)
-    s = _slice_dim(family, p, mu)
-    return OrbitDatum(
-        family=family,
-        jordan_type=p,
-        dual=mu,
-        slice_dim=s,
-        orbit_dim=family.dim - s,
-        centralizer=_centralizer(family, mu),
-    )
+    """The slice numbers of the Jordan type p in a classical family.
+
+    One walk over the runs of equal parts, smallest part first.  A run of
+    m parts equal to v, with `end` parts at least v, gives the transpose mu
+    its next v - len(mu) parts, all equal to `end`; it adds m to the odd
+    count when v is odd; and it gives the reductive centralizer its factor
+    of size m, of the kind _FACTOR_KINDS sets for v's parity.  The type is
+    valid exactly when every Sp factor has even size.
+    """
+    kind = family.kind
+    if kind not in _CLASSICAL:
+        raise ValueError("Jordan types are only modeled for classical families")
+    if p.n != family.size:
+        raise ValueError(f"partition of {p.n} does not fit {family}")
+    parts = p.parts
+    kinds = _FACTOR_KINDS[kind]
+    mu: list[int] = []
+    factors = []
+    odd = 0
+    end = len(parts)
+    while end:
+        v = parts[end - 1]
+        start = parts.index(v)
+        m = end - start
+        mu += [end] * (v - len(mu))
+        factor_kind = kinds[v & 1]
+        if factor_kind == "Sp" and m & 1:
+            raise ValueError(f"{p} is not a valid {kind} Jordan type")
+        odd += m * (v & 1)
+        factors.append(_factor(factor_kind, m))
+        end = start
+    s = _slice_dim(kind, mu, odd)
+    return OrbitDatum(family, p, Partition(tuple(mu)), s, family.dim - s,
+                      ReductiveProduct(tuple(factors)))
 
 
 __all__ = [

@@ -1,20 +1,20 @@
 """Partition combinatorics for Jordan types of nilpotent matrices.
 
-A partition is a weakly decreasing tuple of positive integers.  Partitions
-double as Jordan types (block sizes) and as their transposes; the parity
-constraints for symplectic and orthogonal Jordan types live here too.
+A partition is a weakly decreasing tuple of positive integers, read as a
+Jordan type (block sizes).  This module parses partitions, counts
+multiplicities, recognises hooks and enumerates the valid Jordan types of
+each classical family.  Transposes and the parity test of a given type
+are read off its runs of equal parts by ``liealg.orbit_datum``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import filterfalse
 from operator import ge
 from typing import Iterator
 
 _is_int = int.__instancecheck__
-_odd = (1).__and__   # part -> part & 1
 
 
 @dataclass(frozen=True, order=True)
@@ -73,43 +73,12 @@ def parse_partition(text: str) -> Partition:
     return Partition(tuple(sorted(parts, reverse=True)))
 
 
-def dual(p: Partition) -> Partition:
-    """Transpose partition: i-th part counts the parts of p that are >= i."""
-    # From the smallest part up: the k-th part of p is the last one that
-    # reaches the columns past the previous, shorter parts.
-    mu: list[int] = []
-    k = len(p.parts)
-    for part in reversed(p.parts):
-        mu += [k] * (part - len(mu))
-        k -= 1
-    return Partition(tuple(mu))
-
-
 def multiplicities(p: Partition) -> dict[int, int]:
     """Map part value -> number of occurrences."""
     out: dict[int, int] = {}
     for part in p.parts:
         out[part] = out.get(part, 0) + 1
     return out
-
-
-def is_valid_jordan_type(p: Partition, family_kind: str) -> bool:
-    """Parity test for Jordan types.
-
-    GL admits anything; Sp needs even multiplicity at every odd part,
-    SO needs even multiplicity at every even part.
-    """
-    if family_kind == "GL":
-        return True
-    if family_kind == "Sp":
-        paired = tuple(filter(_odd, p.parts))
-    elif family_kind == "SO":
-        paired = tuple(filterfalse(_odd, p.parts))
-    else:
-        raise ValueError(f"unknown family kind: {family_kind!r}")
-    # Equal parts are adjacent, so every multiplicity is even exactly when
-    # the parts pair off in order.
-    return paired[::2] == paired[1::2]
 
 
 def hook_parameters(p: Partition) -> tuple[int, int] | None:

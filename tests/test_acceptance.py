@@ -13,7 +13,7 @@ from slicescope.classifier import (EXPECTED_EXCEPTIONS, Status, classify,
                                    reduced_inequality, sweep_inequality_proof)
 from slicescope.liealg import effective_centralizer, gl, orbit_datum, so, sp
 from slicescope.partitions import (Partition, hook_parameters,
-                                   is_valid_jordan_type)
+                                   valid_jordan_types)
 
 
 def _report(num: int, ok: bool, message: str) -> None:
@@ -21,12 +21,8 @@ def _report(num: int, ok: bool, message: str) -> None:
 
 
 def _hook_types(kind, size):
-    out = []
-    for k in range(0, size - 1):
-        p = Partition((size - k,) + (1,) * k)
-        if is_valid_jordan_type(p, kind):
-            out.append(p)
-    return out
+    return [p for p in valid_jordan_types(kind, size)
+            if hook_parameters(p) is not None]
 
 
 def test_criterion_1_hook_equality():

@@ -7,7 +7,11 @@ from slicescope.classifier import (EXPECTED_EXCEPTIONS, NON_HOOK_CASES, Status,
                                    necessary_bound, reduced_inequality,
                                    sweep_inequality_proof)
 from slicescope.liealg import gl, orbit_datum, so, sp
-from slicescope.partitions import (Partition, dual, valid_jordan_types)
+from slicescope.partitions import Partition, valid_jordan_types
+
+
+def _dual(fam, parts):
+    return orbit_datum(fam, Partition(parts)).dual
 
 
 def _status(fam, parts):
@@ -85,10 +89,10 @@ def test_reduced_inequality_examples():
     # gl (3,2): mu = (2,2,1): 9 - 5 > 2 + 2 - 2.
     assert reduced_inequality("GL", Partition((2, 2, 1)))
     # gl hook (3,1,1): mu = (3,1,1): 11 - 5 = 6, not > 5 + 3 - 2 = 6.
-    assert not reduced_inequality("GL", dual(Partition((3, 1, 1))))
-    assert not reduced_inequality("Sp", dual(Partition((3, 3))))
-    assert not reduced_inequality("SO", dual(Partition((5, 1, 1))))
-    assert reduced_inequality("SO", dual(Partition((3, 3, 1))))
+    assert not reduced_inequality("GL", _dual(gl(5), (3, 1, 1)))
+    assert not reduced_inequality("Sp", _dual(sp(6), (3, 3)))
+    assert not reduced_inequality("SO", _dual(so(7), (5, 1, 1)))
+    assert reduced_inequality("SO", _dual(so(7), (3, 3, 1)))
     with pytest.raises(ValueError):
         reduced_inequality("XX", Partition((1,)))
 
@@ -139,7 +143,7 @@ def test_sp_dual_never_ends_x_2_1():
     """No valid symplectic Jordan type has transpose of shape (x, 2, 1)."""
     for n in range(2, 15, 2):
         for p in valid_jordan_types("Sp", n):
-            mu = dual(p).parts
+            mu = orbit_datum(sp(n), p).dual.parts
             assert not (len(mu) == 3 and mu[1] == 2 and mu[2] == 1)
 
 

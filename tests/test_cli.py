@@ -386,6 +386,18 @@ def test_usage_errors_exit_2(capsys):
 
 
 
+def test_usage_errors_keep_their_order(capsys):
+    """A type that does not fit is refused for its size before its parity;
+    an invalid type that fits is refused for its parity."""
+    cases = ((["--family", "sp", "--size", "6", "--partition", "3,2"],
+              "usage error: partition of 5 does not fit Sp(6)\n"),
+             (["--family", "so", "--partition", "2,1"],
+              "usage error: (2,1) is not a valid SO Jordan type\n"))
+    for command in ("check", "dual", "verify"):
+        for argv, message in cases:
+            assert run(capsys, command, *argv) == (2, "", message), (command, argv)
+
+
 def test_oversized_partitions_are_refused_before_expansion(capsys):
     for command in ("check", "dual", "verify"):
         tracemalloc.start()
@@ -419,6 +431,23 @@ def test_one_process_matches_fresh_processes(capsys):
                               capture_output=True, text=True, env=env, timeout=120)
         assert got == (proc.returncode, proc.stdout, proc.stderr), argv
     assert [code for code, _, _ in in_process] == [0, 2, 0, 0]
+
+
+def test_python_m_slicescope_runs_the_cli(capsys):
+    """``python -m slicescope`` from a source tree that is not installed."""
+    argv = ["check", "--family", "gl", "--partition", "3,1"]
+    code, out, _ = run(capsys, *argv)
+    src = Path(slicescope.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "slicescope", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert code == 0 and out
+    assert (proc.returncode, proc.stdout) == (code, out)
+    # the exit code of main passes through
+    bad = subprocess.run([sys.executable, "-m", "slicescope", "check", "--family",
+                          "so", "--partition", "2,1"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert bad.returncode == 2
 
 
 @pytest.mark.parametrize("entry", json.loads(EXPECTED_OUTPUT.read_text()),

@@ -7,7 +7,7 @@ from slicescope.liealg import (AlgebraFamily, ReductiveProduct,
                                TRIVIAL_PRODUCT, effective_centralizer, gl,
                                is_regular_type, is_very_even_type,
                                is_zero_type, orbit_datum, so, sp)
-from slicescope.partitions import (Partition, dual, hook_parameters,
+from slicescope.partitions import (Partition, hook_parameters,
                                    multiplicities, valid_jordan_types)
 
 
@@ -187,7 +187,7 @@ def test_orbit_datum_matches_the_pairwise_min_formula():
     for fam in _families_up_to(6):
         for p in valid_jordan_types(fam.kind, fam.size):
             o = orbit_datum(fam, p)
-            assert o.dual == dual(p)
+            assert o.dual.parts == _column_transpose(p.parts)
             pairs = sum(min(a, b) for a in p.parts for b in p.parts)
             odd = sum(part % 2 for part in p.parts)
             expected = {"GL": pairs, "Sp": (pairs + odd) // 2,
@@ -231,7 +231,7 @@ def test_centralizer_sizes_are_multiplicities():
 def test_odd_part_count_matches_alternating_dual_sum():
     for n in range(1, 13):
         for p in valid_jordan_types("GL", n):
-            mu = dual(p)
+            mu = orbit_datum(gl(n), p).dual
             alt = sum((-1) ** i * m for i, m in enumerate(mu.parts))
             assert alt == sum(part % 2 for part in p.parts)
 
@@ -255,3 +255,100 @@ def test_sp_factors_have_even_size():
             for f in orbit_datum(fam, p).centralizer.factors:
                 if f.kind == "Sp":
                     assert f.size % 2 == 0
+
+
+# Reference definitions of the orbit datum, one pass each, as the package
+# computed it before the walk over runs of equal parts.
+
+def _column_transpose(parts):
+    """The i-th part counts the parts that are >= i."""
+    return tuple(sum(1 for part in parts if part >= i)
+                 for i in range(1, max(parts, default=0) + 1))
+
+
+def _is_valid_jordan_type(parts, kind):
+    """GL admits anything; Sp needs even multiplicity at every odd part,
+    SO at every even part."""
+    if kind == "GL":
+        return True
+    paired = tuple(part for part in parts if part % 2 == (kind == "Sp"))
+    # Equal parts are adjacent: every multiplicity is even exactly when
+    # the parts pair off in order.
+    return paired[::2] == paired[1::2]
+
+
+def _reference_datum(fam, p):
+    """(transpose, slice dim, orbit dim, centralizer factors) of p in fam,
+    raising what orbit_datum raises on bad input."""
+    if fam.kind not in ("GL", "Sp", "SO"):
+        raise ValueError("Jordan types are only modeled for classical families")
+    if p.n != fam.size:
+        raise ValueError(f"partition of {p.n} does not fit {fam}")
+    if not _is_valid_jordan_type(p.parts, fam.kind):
+        raise ValueError(f"{p} is not a valid {fam.kind} Jordan type")
+    mu = _column_transpose(p.parts)
+    sq = sum(m * m for m in mu)
+    odd = sum(part % 2 for part in p.parts)
+    slice_dim = {"GL": sq, "Sp": (sq + odd) // 2, "SO": (sq - odd) // 2}[fam.kind]
+    # The multiplicity of the part i is mu_i - mu_{i+1}.
+    factors = []
+    for i, d in enumerate((a - b for a, b in zip(mu, mu[1:] + (0,))), start=1):
+        if not d:
+            continue
+        if fam.kind == "GL":
+            kind = "GL"
+        else:
+            kind = "Sp" if (i % 2 == 1) == (fam.kind == "Sp") else "SO"
+        factors.append(AlgebraFamily(kind, d))
+    return mu, slice_dim, fam.dim - slice_dim, factors
+
+
+def _numbers(o):
+    return o.dual.parts, o.slice_dim, o.orbit_dim, list(o.centralizer.factors)
+
+
+def _outcome(fn, fam, p):
+    """fn(fam, p), or the class and message of what it raises."""
+    try:
+        return fn(fam, p)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_orbit_datum_matches_the_reference_on_every_type_to_30():
+    count = 0
+    for n in range(1, 31):
+        for fam in (gl(n), sp(n) if n % 2 == 0 else None, so(n)):
+            if fam is None:
+                continue
+            for p in valid_jordan_types(fam.kind, n):
+                o = orbit_datum(fam, p)
+                mu, slice_dim, orbit_dim, factors = _reference_datum(fam, p)
+                assert _numbers(o) == (mu, slice_dim, orbit_dim, factors), (fam, p)
+                q = o.centralizer
+                assert (q.dim, q.rank) == (sum(f.dim for f in factors),
+                                           sum(f.rank for f in factors)), (fam, p)
+                count += 1
+    assert count == 39342
+
+
+_REFUSALS = ("only modeled for classical", "does not fit", "is not a valid")
+
+
+def test_orbit_datum_refuses_what_the_reference_refuses():
+    """Every partition of n <= 10 in gl, sp and so of size n and n + 1, and
+    in two families that are not classical: the same numbers, or the same
+    exception class with the same message."""
+    reasons = set()
+    for n in range(0, 11):
+        families = [liealg.exceptional("G2"), AlgebraFamily("A", 2)]
+        for size in (n, n + 1):
+            families += [gl(size), so(size)] + ([sp(size)] if size % 2 == 0 else [])
+        for p in valid_jordan_types("GL", n):
+            for fam in families:
+                want = _outcome(_reference_datum, fam, p)
+                got = _outcome(lambda f, q: _numbers(orbit_datum(f, q)), fam, p)
+                assert got == want, (fam, p)
+                if isinstance(want[0], type):
+                    reasons.update(r for r in _REFUSALS if r in want[1])
+    assert reasons == set(_REFUSALS)

@@ -3,9 +3,44 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slicescope.partitions import (Partition, dual, hook_parameters,
-                                   is_valid_jordan_type, multiplicities,
+from slicescope.liealg import AlgebraFamily, gl, orbit_datum
+from slicescope.partitions import (Partition, hook_parameters, multiplicities,
                                    parse_partition, valid_jordan_types)
+
+
+def dual(p):
+    """Reference transpose: the i-th part counts the parts of p that are >= i.
+
+    Built from the smallest part up: the k-th part of p is the last one
+    that reaches the columns past the previous, shorter parts.
+    """
+    mu = []
+    k = len(p.parts)
+    for part in reversed(p.parts):
+        mu += [k] * (part - len(mu))
+        k -= 1
+    return Partition(tuple(mu))
+
+
+def is_valid_jordan_type(p, family_kind):
+    """Reference parity test: GL admits anything; Sp needs even
+    multiplicity at every odd part, SO at every even part."""
+    if family_kind == "GL":
+        return True
+    if family_kind == "Sp":
+        paired = tuple(part for part in p.parts if part % 2)
+    elif family_kind == "SO":
+        paired = tuple(part for part in p.parts if not part % 2)
+    else:
+        raise ValueError(f"unknown family kind: {family_kind!r}")
+    # Equal parts are adjacent, so every multiplicity is even exactly when
+    # the parts pair off in order.
+    return paired[::2] == paired[1::2]
+
+
+def transpose(p):
+    """The transpose that the package computes, in its gl orbit datum."""
+    return orbit_datum(gl(p.n), p).dual
 
 
 def test_partition_validation():
@@ -46,10 +81,11 @@ def test_parse_partition_plain_and_exponents():
 
 def test_dual_examples():
     # (4,2,1) has columns of heights 3,2,1,1.
-    assert dual(Partition((4, 2, 1))) == Partition((3, 2, 1, 1))
-    assert dual(Partition((3, 3))) == Partition((2, 2, 2))
-    assert dual(Partition((1, 1, 1))) == Partition((3,))
-    assert dual(Partition(())) == Partition(())
+    for f in (dual, transpose):
+        assert f(Partition((4, 2, 1))) == Partition((3, 2, 1, 1))
+        assert f(Partition((3, 3))) == Partition((2, 2, 2))
+        assert f(Partition((1, 1, 1))) == Partition((3,))
+        assert f(Partition(())) == Partition(())
 
 
 def test_multiplicities():
@@ -65,15 +101,20 @@ def test_hook_parameters():
 
 
 def test_jordan_validity_examples():
-    assert is_valid_jordan_type(Partition((3, 2)), "GL")
-    # Sp: odd parts need even multiplicity.
-    assert is_valid_jordan_type(Partition((3, 3)), "Sp")
-    assert not is_valid_jordan_type(Partition((3, 2, 1)), "Sp")
-    assert is_valid_jordan_type(Partition((2, 1, 1)), "Sp")
-    # SO: even parts need even multiplicity.
-    assert is_valid_jordan_type(Partition((5, 1, 1)), "SO")
-    assert not is_valid_jordan_type(Partition((4, 1)), "SO")
-    assert is_valid_jordan_type(Partition((4, 4, 1)), "SO")
+    examples = [((3, 2), "GL", True),
+                # Sp: odd parts need even multiplicity.
+                ((3, 3), "Sp", True), ((3, 2, 1), "Sp", False), ((2, 1, 1), "Sp", True),
+                # SO: even parts need even multiplicity.
+                ((5, 1, 1), "SO", True), ((4, 1), "SO", False), ((4, 4, 1), "SO", True)]
+    for parts, kind, valid in examples:
+        p = Partition(parts)
+        assert is_valid_jordan_type(p, kind) == valid, (parts, kind)
+        family = AlgebraFamily(kind, p.n)
+        if valid:
+            orbit_datum(family, p)
+        else:
+            with pytest.raises(ValueError, match=f"not a valid {kind} Jordan type"):
+                orbit_datum(family, p)
     with pytest.raises(ValueError):
         is_valid_jordan_type(Partition((2,)), "XX")
 
@@ -150,8 +191,8 @@ partitions = st.lists(st.integers(1, 9), min_size=0, max_size=8).map(
 @given(partitions)
 @settings(max_examples=120, deadline=None)
 def test_dual_is_an_involution(p):
-    assert dual(dual(p)) == p
-    assert dual(p).n == p.n
+    assert transpose(transpose(p)) == p
+    assert transpose(p).n == p.n
 
 
 @given(partitions)
@@ -159,13 +200,13 @@ def test_dual_is_an_involution(p):
 def test_dual_matches_column_counts(p):
     columns = tuple(sum(1 for part in p.parts if part >= i)
                     for i in range(1, max(p.parts, default=0) + 1))
-    assert dual(p).parts == columns
+    assert transpose(p).parts == columns == dual(p).parts
 
 
 @given(partitions)
 @settings(max_examples=120, deadline=None)
 def test_multiplicity_is_dual_difference(p):
-    mu = dual(p).parts + (0,)
+    mu = transpose(p).parts + (0,)
     mults = multiplicities(p)
     top = max(p.parts, default=0)
     for i in range(1, top + 1):
@@ -175,4 +216,4 @@ def test_multiplicity_is_dual_difference(p):
 @given(partitions)
 @settings(max_examples=120, deadline=None)
 def test_dual_top_part_counts_parts(p):
-    assert max(dual(p).parts, default=0) == len(p.parts)
+    assert max(transpose(p).parts, default=0) == len(p.parts)
