@@ -8,10 +8,10 @@ only its nonzero entries: one dict per row, column -> value.  An entry
 is a Python ``int``, or a ``fractions.Fraction`` whose denominator is
 not 1; every operation keeps that form, and every division goes through
 ``Fraction``.  Products, sums, traces and eliminations touch only the
-nonzero entries, and a commutator xy - yx is one pass that accumulates
-both products row by row, with no intermediate matrix.  ``ad_rows``
-maps a whole basis of flattened matrices Y to the flattened [op, Y],
-indexing op by column once, so no matrix is built per element.
+nonzero entries.  ``ad_rows`` is the one commutator loop: it maps a
+whole basis of flattened matrices Y to the flattened [op, Y], indexing
+op by column once, with no intermediate product and no matrix built per
+element; ``bracket`` is ``ad_rows`` on a single element.
 Elimination takes rows sparsest first, which keeps fill-in down; its
 results do not depend on the row order, because the reduced row echelon
 form of a span is unique.
@@ -444,34 +444,19 @@ def kernel(a: RatMatrix) -> Subspace:
 
 
 def bracket(x: RatMatrix, y: RatMatrix) -> RatMatrix:
-    """Matrix commutator [x, y] = xy - yx, in one pass.
-
-    Row i of xy and row i of yx go into one accumulator, so neither
-    product is built as a matrix of its own.
-    """
+    """Matrix commutator [x, y] = xy - yx, as ``ad_rows`` of the one element y."""
     if x.rows != x.cols or y.rows != y.cols or x.rows != y.rows:
         raise ValueError("bracket needs square matrices of equal size")
-    xe, ye = x.entries, y.entries
-    out = []
-    for xrow, yrow in zip(xe, ye):
-        acc: Row = {}
-        for k, a in xrow.items():
-            for j, b in ye[k].items():
-                acc[j] = acc.get(j, 0) + a * b
-        for k, a in yrow.items():
-            for j, b in xe[k].items():
-                acc[j] = acc.get(j, 0) - a * b
-        out.append(_clean(acc))
-    return RatMatrix._wrap(out, x.rows, x.cols)
+    return RatMatrix.from_flat_row(ad_rows(x, [y.flat_row()])[0], x.rows, x.cols)
 
 
 def ad_rows(op: RatMatrix, rows: Sequence[Row]) -> list[Row]:
     """The flattened [op, Y] for each flattened n x n sparse row Y.
 
-    Equal to ``bracket(op, Y).flat_row()``, with no matrix built for Y
-    or its image.  Op is indexed by column once per call; then an entry
-    y at (k, l) of Y adds y * op_ik at (i, l) (from op Y) and
-    -y * op_lj at (k, j) (from Y op).
+    This is the package's one commutator loop; ``bracket`` calls it.  No
+    matrix is built for Y or its image.  Op is indexed by column once
+    per call; then an entry y at (k, l) of Y adds y * op_ik at (i, l)
+    (from op Y) and -y * op_lj at (k, j) (from Y op).
     """
     n = op.rows
     if op.cols != n:

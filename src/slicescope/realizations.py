@@ -292,8 +292,8 @@ def weight_space_dims(r: MatrixRealization, cartan: RatMatrix,
     """
     zf = r.zf_subspace()
     ad = {}  # matrix of ad(cartan) on z(f), in zf coordinates
-    for t, b in enumerate(r.zf_basis):
-        coords = zf.coords(bracket(cartan, b).flat_row())
+    for t, col in enumerate(ad_rows(cartan, [b.flat_row() for b in r.zf_basis])):
+        coords = zf.coords(col)
         if coords is None:
             raise RealizationError("ad(cartan) does not preserve z(f)")
         ad.update(((s, t), x) for s, x in coords.items())

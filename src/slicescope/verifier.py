@@ -5,17 +5,20 @@ the z(f) basis) of the slice and checks, in exact arithmetic: that the
 symplectic pairing on g + z(f) is nondegenerate, that the tangent space
 of the symmetry orbit through x contains its symplectic orthogonal
 (coisotropy), the dimension of that orthogonal, and the stabilizer
-dimension.  Sampling can only support or falsify generic-point claims,
-never prove them: a degenerate sample is retried and persistent
-degeneracy is reported as inconclusive, never as success.
+dimension.  A sample, a ``SlicePoint``, stores only its coefficients,
+so it lies on the slice by construction.  Sampling can only support or
+falsify generic-point claims, never prove them: a degenerate sample is
+retried and persistent degeneracy is reported as inconclusive, never as
+success.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
-from .exactlinalg import RatMatrix, Subspace, ad_rows, trace_form
+from .exactlinalg import RatMatrix, Row, Subspace, ad_rows, trace_form
 from .realizations import MatrixRealization
 
 _BOX = 5          # sample coefficients from [-BOX, BOX]
@@ -28,25 +31,36 @@ class SliceError(ValueError):
 
 @dataclass(frozen=True)
 class SlicePoint:
+    """x = e + sum of c_i z_i; one coefficient per z(f) basis element, so x is on the slice.
+
+    x and the rotations [x, c], c in q, are formed on first read and kept.
+    """
     realization: MatrixRealization
-    x: RatMatrix
-    seed: int
     coefficients: tuple[int, ...]
+
+    def __post_init__(self):
+        dz = self.realization.dim_zf
+        if len(self.coefficients) != dz:
+            raise SliceError(f"{len(self.coefficients)} coefficients, dim z(f) is {dz}")
+
+    @cached_property
+    def x(self) -> RatMatrix:
+        r = self.realization
+        x = r.e
+        for c, b in zip(self.coefficients, r.zf_basis):
+            if c:
+                x = x + b.scale(c)
+        return x
+
+    @cached_property
+    def rotations(self) -> list[Row]:
+        """The flattened [x, c] for each c in the q basis, in order."""
+        return ad_rows(self.x, [c.flat_row() for c in self.realization.q_basis])
 
 
 def slice_point(r: MatrixRealization, seed: int) -> SlicePoint:
     rng = random.Random(seed)
-    coeffs = tuple(rng.randint(-_BOX, _BOX) for _ in r.zf_basis)
-    x = r.e
-    for c, b in zip(coeffs, r.zf_basis):
-        if c:
-            x = x + b.scale(c)
-    return SlicePoint(r, x, seed, coeffs)
-
-
-def _check_in_slice(r: MatrixRealization, x: RatMatrix) -> None:
-    if not r.zf_subspace().member((x - r.e).flat_row()):
-        raise SliceError("point is not on the slice")
+    return SlicePoint(r, tuple(rng.randint(-_BOX, _BOX) for _ in r.zf_basis))
 
 
 def _by_transposed_support(basis: list[RatMatrix]) -> dict[tuple[int, int], list[int]]:
@@ -68,7 +82,7 @@ def _meeting(a: RatMatrix, index: dict[tuple[int, int], list[int]]) -> list[int]
     return sorted(out)
 
 
-def omega_gram(r: MatrixRealization, x: RatMatrix) -> RatMatrix:
+def omega_gram(pt: SlicePoint) -> RatMatrix:
     """Gram matrix of the slice symplectic form on the basis g + z(f).
 
     On tangent vectors (xi, u), (eta, v) with xi, eta in g and u, v in
@@ -89,7 +103,7 @@ def omega_gram(r: MatrixRealization, x: RatMatrix) -> RatMatrix:
     entry.  The z(f) basis is indexed by the transposed positions of its
     nonzero entries, and each g element looks up the ones it meets.
     """
-    _check_in_slice(r, x)
+    r, x = pt.realization, pt.x
     dg, dz = r.dim_g, r.dim_zf
     n = x.rows
     ad_x = ad_rows(x, [b.flat_row() for b in r.g_basis])
@@ -111,7 +125,7 @@ def omega_gram(r: MatrixRealization, x: RatMatrix) -> RatMatrix:
     return RatMatrix.from_entries(dg + dz, dg + dz, gram)
 
 
-def orbit_tangent(r: MatrixRealization, x: RatMatrix) -> Subspace:
+def orbit_tangent(pt: SlicePoint) -> Subspace:
     """Tangent space of the symmetry-group orbit at (1, x).
 
     In g + z(f) coordinates: all of g (left translations), plus the
@@ -119,11 +133,11 @@ def orbit_tangent(r: MatrixRealization, x: RatMatrix) -> Subspace:
     negatives [x, c], which span the same space.  Each must land back in
     z(f); anything else means a broken realization.
     """
-    _check_in_slice(r, x)
+    r = pt.realization
     dg = r.dim_g
     zf = r.zf_subspace()
     gens = [{i: 1} for i in range(dg)]
-    for col in ad_rows(x, [c.flat_row() for c in r.q_basis]):
+    for col in pt.rotations:
         coords = zf.coords(col)
         if coords is None:
             raise SliceError("q direction leaves z(f): broken realization")
@@ -131,16 +145,15 @@ def orbit_tangent(r: MatrixRealization, x: RatMatrix) -> Subspace:
     return Subspace.span(dg + r.dim_zf, gens)
 
 
-def stabilizer_dim(r: MatrixRealization, x: RatMatrix) -> int:
+def stabilizer_dim(pt: SlicePoint) -> int:
     """Dimension of {c in q : [c, x] = 0}: dim q minus the rank of c -> [c, x].
 
     The rank is taken of the n^2 x dim q matrix with the flattened
     brackets as columns: its short rows fill in less than dim q rows of
     length n^2 would.
     """
-    _check_in_slice(r, x)
-    cols = ad_rows(x, [c.flat_row() for c in r.q_basis])
-    return r.dim_q - RatMatrix.from_rows(cols, x.rows * x.cols).transpose().rank()
+    r = pt.realization
+    return r.dim_q - RatMatrix.from_rows(pt.rotations, r.family.size ** 2).transpose().rank()
 
 
 @dataclass(frozen=True)
@@ -190,16 +203,16 @@ def _check_at(r: MatrixRealization, seed: int) -> CoisotropyReport:
     from a basis of W-perp.
     """
     pt = slice_point(r, seed)
-    gram = omega_gram(r, pt.x)
+    gram = omega_gram(pt)
     omega_rank = gram.rank()
-    w = orbit_tangent(r, pt.x)
+    w = orbit_tangent(pt)
     # W's basis is the unit rows of g, then the rotation directions.  In
     # reverse, the restricted form's first columns are the rotation ones,
     # which vanish on the rotation rows (omega pairs no two z(f) vectors),
     # and elimination pivots on them first: it fills in far less.
     m = RatMatrix.from_rows(w.rows[::-1], w.ambient_dim)
     dim_perp, intersection, contained = _containment(m, gram, omega_rank)
-    stabilizer = stabilizer_dim(r, pt.x)
+    stabilizer = stabilizer_dim(pt)
     # W = g + [q, x], and c -> [c, x] on q has kernel the stabilizer, so two
     # eliminations must agree: dim W = dim g + dim q - dim stabilizer.
     if w.dim != r.dim_g + r.dim_q - stabilizer:

@@ -70,3 +70,8 @@ def test_one_traced_verify_round_passes():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
+    # A sample lies on the slice by construction: z(f) is looked up once
+    # per sample, to put the rotations in its coordinates.
+    metrics = result["metrics"]
+    assert (metrics["realizations.zf_subspace.calls_per_check"]["value"]
+            == metrics["verifier.attempts_per_check"]["value"])

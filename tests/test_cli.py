@@ -206,9 +206,9 @@ def test_omega_gram_pairs_only_supports_that_meet(capsys, monkeypatch):
     assert all_pairs == 1638
     real_gram, real_trace, grams, traces = verifier.omega_gram, verifier.trace_form, [], []
 
-    def counted_gram(r, x):
-        grams.append(r.label)
-        return real_gram(r, x)
+    def counted_gram(pt):
+        grams.append(pt.realization.label)
+        return real_gram(pt)
 
     def counted_trace(a, b):
         traces.append(1)
@@ -238,6 +238,30 @@ def test_verify_brackets_only_to_check_the_model(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "--case", "sp8-hook6")
     assert code == 0
     assert len(calls) == 45
+
+
+def test_verify_applies_ad_twice_per_sample(capsys, monkeypatch):
+    # Per sample, ad is applied to two bases: g for the Gram matrix, and q
+    # once for the rotations [x, c] that both the orbit tangent and the
+    # stabilizer read.
+    real_ad, real_check, ads, checks = verifier.ad_rows, verifier._check_at, [], []
+
+    def counted_ad(op, rows):
+        ads.append(1)
+        return real_ad(op, rows)
+
+    def counted_check(r, seed):
+        checks.append(1)
+        return real_check(r, seed)
+
+    monkeypatch.setattr(verifier, "ad_rows", counted_ad)
+    monkeypatch.setattr(verifier, "_check_at", counted_check)
+    for label in ("sp8-hook6", "gl6-1.1.1.1.1.1"):
+        ads.clear()
+        checks.clear()
+        code, _, _ = run(capsys, "verify", "--case", label)
+        assert code == 0 and checks, label
+        assert len(ads) == 2 * len(checks), label
 
 
 def test_verify_broken_model_exits_1(capsys, monkeypatch):
@@ -272,7 +296,7 @@ def test_verify_cross_checks_dim_W_against_the_stabilizer(capsys, monkeypatch):
     # dim W = dim g + dim q - stabilizer_dim, by rank-nullity on c -> [c, x];
     # two eliminations that break it mean a broken model, not a verdict.
     real = verifier.stabilizer_dim
-    monkeypatch.setattr(verifier, "stabilizer_dim", lambda r, x: real(r, x) + 1)
+    monkeypatch.setattr(verifier, "stabilizer_dim", lambda pt: real(pt) + 1)
     code, out, err = run(capsys, "verify", "--case", "sp6-33")
     assert code == 1 and not out
     assert err.startswith("error: dim W = ") and "broken realization" in err

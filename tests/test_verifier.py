@@ -8,8 +8,8 @@ from slicescope.classifier import classify, predicted_coisotropy
 from slicescope.exactlinalg import RatMatrix, Subspace, bracket, kernel, trace_form
 from slicescope.liealg import AlgebraFamily, gl, orbit_datum
 from slicescope.realizations import build_case, classical_triple
-from slicescope.verifier import (SliceError, _containment, coisotropy_check, omega_gram,
-                                 orbit_tangent, slice_point, stabilizer_dim)
+from slicescope.verifier import (SliceError, SlicePoint, _containment, coisotropy_check,
+                                 omega_gram, orbit_tangent, slice_point, stabilizer_dim)
 from slicescope.partitions import Partition, valid_jordan_types
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -25,7 +25,7 @@ def test_slice_point_is_deterministic():
 
 def test_omega_gram_is_antisymmetric():
     r = build_case("sp6-hook2")
-    gram = omega_gram(r, slice_point(r, 3).x)
+    gram = omega_gram(slice_point(r, 3))
     assert gram.transpose() == -gram
     for i in range(gram.rows):
         assert gram.data[i][i] == 0
@@ -51,23 +51,29 @@ def test_omega_gram_matches_the_all_pairs_definition():
         for n in range(1, 9):
             for p in valid_jordan_types(kind, n):
                 r = classical_triple(AlgebraFamily(kind, n), p)
-                x = slice_point(r, 0).x
-                assert omega_gram(r, x) == _all_pairs_gram(r, x), (kind, p)
+                pt = slice_point(r, 0)
+                assert omega_gram(pt) == _all_pairs_gram(r, pt.x), (kind, p)
                 checked += 1
     assert checked == 127
 
 
 def test_omega_gram_rejects_offslice_points():
+    # A point holds one coefficient per z(f) basis element, so an off-slice
+    # x cannot be expressed; a wrong number of coefficients is refused
+    # when the point is made, never truncated.
     r = build_case("gl4-hook1")
-    with pytest.raises(SliceError):
-        omega_gram(r, RatMatrix.identity(4))
+    assert r.dim_zf == 6
+    for coeffs in ((), (1,) * 5, (1,) * 7):
+        with pytest.raises(SliceError):
+            SlicePoint(r, coeffs)
+    assert SlicePoint(r, (0,) * 6).x == r.e
 
 
 def test_regular_orbit_rank_at_e():
     # Regular (2) in the 2x2 general linear case: omega at x = e already
     # has full rank dim g + slice dim = 4 + 2 = 6.
     r = classical_triple(gl(2), Partition((2,)))
-    gram = omega_gram(r, r.e)
+    gram = omega_gram(SlicePoint(r, (0,) * r.dim_zf))
     assert gram.rows == 6
     assert gram.rank() == 6
 
@@ -75,14 +81,15 @@ def test_regular_orbit_rank_at_e():
 def test_orbit_tangent_at_e_is_g_only():
     # q centralizes e, so the orbit directions at x = e are just g.
     r = build_case("so7-hook2")
-    w = orbit_tangent(r, r.e)
+    at_e = SlicePoint(r, (0,) * r.dim_zf)
+    w = orbit_tangent(at_e)
     assert w.dim == r.dim_g
-    assert stabilizer_dim(r, r.e) == r.dim_q
+    assert stabilizer_dim(at_e) == r.dim_q
 
 
 def test_stabilizer_vanishes_generically():
     r = build_case("gl5-hook2")
-    assert stabilizer_dim(r, slice_point(r, 0).x) == 0
+    assert stabilizer_dim(slice_point(r, 0)) == 0
 
 
 def test_coisotropy_positive_cases():
@@ -171,12 +178,12 @@ def test_rank_shortcuts_match_the_kernels(monkeypatch):
                 for p in valid_jordan_types(kind, n)]
     assert len(samples) == 2 * 38 + 127
     for r, seed in samples:
-        x = slice_point(r, seed).x
-        gram = omega_gram(r, x)
-        w = orbit_tangent(r, x)
+        pt = slice_point(r, seed)
+        gram = omega_gram(pt)
+        w = orbit_tangent(pt)
         got = _containment(w.matrix(), gram, gram.rank())
         assert got == _kernel_containment(w, gram), (r.label, seed)
-        assert stabilizer_dim(r, x) == _kernel_stabilizer(r, x), (r.label, seed)
+        assert stabilizer_dim(pt) == _kernel_stabilizer(r, pt.x), (r.label, seed)
 
 
 def test_containment_on_degenerate_forms():
