@@ -140,25 +140,24 @@ NON_HOOK_CASES: dict[tuple[str, tuple[int, ...]], NonHookCase] = {
 def classify(o: OrbitDatum) -> Verdict:
     bound = necessary_bound(o)
     family, p = o.family, o.jordan_type
-    very_even = is_very_even_type(family, p)
-
-    def verdict(status: Status, note: str = "", case: NonHookCase | None = None) -> Verdict:
-        return Verdict(o, status, bound, note=note, very_even=very_even, case=case)
-
+    note, case = "", None
     if is_zero_type(p):
-        return verdict(Status.ZERO_ORBIT)
-    if is_regular_type(family, p):
-        return verdict(Status.REGULAR_ORBIT)
-    if hook_parameters(p) is not None:
-        return verdict(Status.HYPERSPHERICAL_HOOK)
-    case = NON_HOOK_CASES.get((family.kind, p.parts))
-    if case is not None:
-        return verdict(case.status, case.note, case)
-    if bound.slack > 0:
-        return verdict(Status.NOT_HYPERSPHERICAL)
-    # Defensive: the bound alone never certifies hypersphericity.
-    return verdict(Status.CANDIDATE,
-                   note="passes the necessary bound but matches no proven case")
+        status = Status.ZERO_ORBIT
+    elif is_regular_type(family, p):
+        status = Status.REGULAR_ORBIT
+    elif hook_parameters(p) is not None:
+        status = Status.HYPERSPHERICAL_HOOK
+    else:
+        case = NON_HOOK_CASES.get((family.kind, p.parts))
+        if case is not None:
+            status, note = case.status, case.note
+        elif bound.slack > 0:
+            status = Status.NOT_HYPERSPHERICAL
+        else:
+            # Defensive: the bound alone never certifies hypersphericity.
+            status = Status.CANDIDATE
+            note = "passes the necessary bound but matches no proven case"
+    return Verdict(o, status, bound, note, is_very_even_type(family, p), case)
 
 
 def predicted_coisotropy(v: Verdict) -> dict[str, object]:
@@ -182,7 +181,7 @@ def predicted_coisotropy(v: Verdict) -> dict[str, object]:
 
 
 # Largest matrix size enumerate_and_classify accepts.  As a whole process,
-# `classify --family gl --rank 40` (37338 types) takes 1.4-2.2 s on a
+# `classify --family gl --rank 40` (37338 types) takes 1.8-2.0 s on a
 # 2-core x86-64 box with CPython 3.11 (six runs), and the number of types
 # grows like exp(sqrt(n)) beyond it.
 MAX_ENUMERATION_SIZE = 40

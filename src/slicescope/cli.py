@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import sys
+from operator import itemgetter
 
 from . import classifier, datasets, liealg, realizations, superdual, verifier
 from .classifier import HYPERSPHERICAL_STATUSES, Status, Verdict
@@ -24,6 +25,7 @@ from .partitions import Partition, parse_partition
 
 _COLUMNS = ["family", "rank", "jordan_type", "dual", "slice_dim", "q_factors",
             "lhs", "rhs", "slack", "status", "sdual"]
+_column_values = itemgetter(*_COLUMNS)
 
 
 class UsageError(ValueError):
@@ -82,7 +84,7 @@ def _emit_records(records: list[dict], fmt: str, out) -> None:
     if fmt == "tsv":
         out.write("\t".join(_COLUMNS) + "\n")
         for rec in records:
-            out.write("\t".join(str(rec[c]) for c in _COLUMNS) + "\n")
+            out.write("\t".join(map(str, _column_values(rec))) + "\n")
     elif fmt == "json":
         for rec in records:
             out.write(json.dumps(rec, sort_keys=True) + "\n")

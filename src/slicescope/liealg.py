@@ -44,10 +44,14 @@ def _classical_rank(kind: str, size: int) -> int:
     return size if kind == "GL" else size // 2
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
 def _store(obj, dim: int, rank: int) -> None:
     """Set the derived dim and rank of a frozen dataclass instance."""
-    object.__setattr__(obj, "dim", dim)
-    object.__setattr__(obj, "rank", rank)
+    _set(obj, "dim", dim)
+    _set(obj, "rank", rank)
 
 
 # Simple-type dimension table used by exceptional orbit data: size is the
@@ -66,33 +70,34 @@ class AlgebraFamily:
     """A reductive group type: an ambient algebra or a centralizer factor.
 
     Kinds "GL"/"Sp"/"SO" carry a matrix size; kinds "A".."D" and "T"
-    carry a Lie rank; exceptional labels carry nothing.  dim and rank are
-    computed once, when the family is made.
+    carry a Lie rank; exceptional labels carry nothing.  dim, rank and the
+    display name are computed once, when the family is made.
     """
 
     kind: str
     size: int = 0
     dim: int = field(init=False, compare=False, repr=False)
     rank: int = field(init=False, compare=False, repr=False)
+    name: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         kind, size = self.kind, self.size
         if kind in _CLASSICAL:
             _check_classical_size(kind, size)
             _store(self, _classical_dim(kind, size), _classical_rank(kind, size))
+            name = f"{kind}({size})"
         elif kind in _SIMPLE_DIMS:
             _store(self, _SIMPLE_DIMS[kind](size), size)
+            name = f"{kind}{size}"
         elif kind in _EXCEPTIONAL:
             _store(self, *_EXCEPTIONAL[kind])
+            name = kind
         else:
             raise ValueError(f"unknown family kind: {kind!r}")
+        _set(self, "name", name)
 
     def __str__(self) -> str:
-        if self.kind in _CLASSICAL:
-            return f"{self.kind}({self.size})"
-        if self.kind in _SIMPLE_DIMS:
-            return f"{self.kind}{self.size}"
-        return self.kind
+        return self.name
 
 
 def gl(n: int) -> AlgebraFamily:
@@ -133,8 +138,20 @@ class ReductiveProduct:
     def __str__(self) -> str:
         if not self.factors:
             return "1"
-        body = "x".join(map(str, self.factors))
+        body = "x".join([f.name for f in self.factors])
         return body + ("/T1" if self.torus_removed else "")
+
+
+def _product(factors: tuple[AlgebraFamily, ...], torus_removed: bool,
+             dim: int, rank: int) -> ReductiveProduct:
+    """A ReductiveProduct whose dim and rank the caller has already summed
+    (and reduced by the torus, if removed), made without summing again."""
+    q = _new(ReductiveProduct)
+    _set(q, "factors", factors)
+    _set(q, "torus_removed", torus_removed)
+    _store(q, dim, rank)
+    return q
+
 
 TRIVIAL_PRODUCT = ReductiveProduct(())
 
@@ -212,9 +229,10 @@ class OrbitDatum:
 
     @property
     def effective_centralizer(self) -> ReductiveProduct:
+        q = self.centralizer
         if self.family.kind == "GL":
-            return ReductiveProduct(self.centralizer.factors, torus_removed=True)
-        return self.centralizer
+            return _product(q.factors, True, q.dim - 1, q.rank - 1)
+        return q
 
 
 def orbit_datum(family: AlgebraFamily, p: Partition) -> OrbitDatum:
@@ -225,7 +243,8 @@ def orbit_datum(family: AlgebraFamily, p: Partition) -> OrbitDatum:
     its next v - len(mu) parts, all equal to `end`; it adds m to the odd
     count when v is odd; and it gives the reductive centralizer its factor
     of size m, of the kind _FACTOR_KINDS sets for v's parity.  The type is
-    valid exactly when every Sp factor has even size.
+    valid exactly when every Sp factor has even size.  The centralizer's
+    dim and rank are summed over the factors as the walk makes them.
     """
     kind = family.kind
     if kind not in _CLASSICAL:
@@ -236,7 +255,7 @@ def orbit_datum(family: AlgebraFamily, p: Partition) -> OrbitDatum:
     kinds = _FACTOR_KINDS[kind]
     mu: list[int] = []
     factors = []
-    odd = 0
+    odd = q_dim = q_rank = 0
     end = len(parts)
     while end:
         v = parts[end - 1]
@@ -247,11 +266,14 @@ def orbit_datum(family: AlgebraFamily, p: Partition) -> OrbitDatum:
         if factor_kind == "Sp" and m & 1:
             raise ValueError(f"{p} is not a valid {kind} Jordan type")
         odd += m * (v & 1)
-        factors.append(_factor(factor_kind, m))
+        factor = _factor(factor_kind, m)
+        factors.append(factor)
+        q_dim += factor.dim
+        q_rank += factor.rank
         end = start
     s = _slice_dim(kind, mu, odd)
     return OrbitDatum(family, p, Partition(tuple(mu)), s, family.dim - s,
-                      ReductiveProduct(tuple(factors)))
+                      _product(tuple(factors), False, q_dim, q_rank))
 
 
 __all__ = [

@@ -15,6 +15,8 @@ from operator import ge
 from typing import Iterator
 
 _is_int = int.__instancecheck__
+_new = object.__new__
+_set = object.__setattr__
 
 
 @dataclass(frozen=True, order=True)
@@ -39,6 +41,14 @@ class Partition:
 
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.parts)) + ")"
+
+
+def _trusted(parts: tuple[int, ...]) -> Partition:
+    """A Partition of parts already known to be positive, weakly decreasing
+    ints, made without checking them again."""
+    p = _new(Partition)
+    _set(p, "parts", parts)
+    return p
 
 
 # Largest size parse_partition accepts.  `check` and `dual` take time and
@@ -102,7 +112,8 @@ def _valid_parts(n: int, largest: int, paired: int | None) -> Iterator[tuple[int
     Each part value is chosen from largest to smallest, then its
     multiplicity from largest to smallest; ones fill what is left.  Parts
     of parity ``paired`` (1 odd, 0 even, None neither) take even
-    multiplicities only.
+    multiplicities only.  Every tuple is of positive, weakly decreasing
+    ints, so valid_jordan_types makes its Partitions without checking them.
     """
     if paired == 1 and n % 2:
         return   # odd parts pair off, so the size is even
@@ -128,4 +139,4 @@ def valid_jordan_types(family_kind: str, n: int) -> list[Partition]:
     """Valid Jordan types of an n x n nilpotent for the family, reverse-lex."""
     if family_kind not in _PAIRED_PARITY:
         raise ValueError(f"unknown family kind: {family_kind!r}")
-    return list(map(Partition, _valid_parts(n, n, _PAIRED_PARITY[family_kind])))
+    return list(map(_trusted, _valid_parts(n, n, _PAIRED_PARITY[family_kind])))

@@ -13,6 +13,7 @@ import pytest
 import slicescope
 from slicescope import classifier, exactlinalg, liealg, realizations, verifier
 from slicescope.cli import main
+from slicescope.partitions import valid_jordan_types
 
 # The classify/sweep commands of the benchmark, with the SHA-256 of their stdout.
 EXPECTED_OUTPUT = (Path(__file__).resolve().parent.parent
@@ -319,6 +320,42 @@ def test_verify_output_matches_the_recorded_digest(capsys, monkeypatch):
             digest.update(f"{label} {seed} {code}\n{out}".encode())
     assert len(labels) == 38
     assert digest.hexdigest() == VERIFY_CASES_DIGEST
+
+
+def _classify_commands() -> list[list[str]]:
+    """classify in every format on three algebras, sweep on every family,
+    and check (pretty) and dual on every valid type with n <= 6."""
+    commands = []
+    for algebra in (["gl", "--rank", "12"], ["sp", "--rank", "8"], ["so", "--size", "17"]):
+        for fmt in ("tsv", "json", "pretty"):
+            commands.append(["classify", "--family", *algebra, "--format", fmt])
+    for family in ("gl", "sp", "so"):
+        commands.append(["sweep", "--family", family, "--n-max", "20"])
+    for n in range(1, 7):
+        for family, kind in (("gl", "GL"), ("sp", "Sp"), ("so", "SO")):
+            for p in valid_jordan_types(kind, n):
+                text = ",".join(map(str, p.parts))
+                commands.append(["check", "--family", family, "--partition", text,
+                                 "--format", "pretty"])
+                commands.append(["dual", "--family", family, "--partition", text])
+    return commands
+
+
+# SHA-256 over the command line, its exit code, a newline, stdout and
+# stderr, for each of _classify_commands() in order.  It pins the bytes
+# of the combinatorial path beyond the benchmark's TSV digests: the json
+# and pretty formats, the pretty identity lines, check and dual.
+CLASSIFY_DIGEST = "fc80320da953b1ebfb68a6694da26016179b654002fc0024636629ddad745ae7"
+
+
+def test_classify_output_matches_the_recorded_digest(capsys):
+    commands = _classify_commands()
+    digest = hashlib.sha256()
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        digest.update(f"{' '.join(argv)} {code}\n{out}{err}".encode())
+    assert len(commands) == 12 + 2 * 59
+    assert digest.hexdigest() == CLASSIFY_DIGEST
 
 
 def test_verify_bad_case_usage_error(capsys):

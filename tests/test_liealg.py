@@ -57,6 +57,7 @@ def test_stored_dims_keep_the_dataclass_contract():
     assert hash(gl(3)) == hash(AlgebraFamily("GL", 3))
     assert repr(gl(3)) == "AlgebraFamily(kind='GL', size=3)"
     assert dataclasses.replace(gl(3), size=4).dim == 16
+    assert str(dataclasses.replace(gl(3), size=4)) == "GL(4)"
     assert AlgebraFamily("Sp", 4) == sp(4) and str(AlgebraFamily("Sp", 4)) == "Sp(4)"
     assert ReductiveProduct((gl(2),)) != ReductiveProduct((gl(2),), True)
 
@@ -328,6 +329,15 @@ def test_orbit_datum_matches_the_reference_on_every_type_to_30():
                 q = o.centralizer
                 assert (q.dim, q.rank) == (sum(f.dim for f in factors),
                                            sum(f.rank for f in factors)), (fam, p)
+                # The walk's sums equal what the checked constructor sums.
+                summed = ReductiveProduct(q.factors)
+                assert q == summed, (fam, p)
+                assert (q.dim, q.rank, str(q)) == (summed.dim, summed.rank, str(summed))
+                eff = o.effective_centralizer
+                summed = ReductiveProduct(q.factors, torus_removed=fam.kind == "GL")
+                assert eff == summed, (fam, p)
+                assert (eff.dim, eff.rank, str(eff)) == (summed.dim, summed.rank,
+                                                         str(summed)), (fam, p)
                 count += 1
     assert count == 39342
 

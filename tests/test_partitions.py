@@ -59,6 +59,8 @@ def test_partition_validation():
         Partition((1, 2, 0))
     with pytest.raises(ValueError, match="positive integers, got 0"):
         Partition((3, 0, 4))
+    with pytest.raises(ValueError, match="positive integers, got 0"):
+        Partition((0,))
 
 
 def test_basic_accessors():
@@ -166,10 +168,20 @@ def _reverse_lex(n, largest):
 
 @pytest.mark.parametrize("kind", ["GL", "Sp", "SO"])
 def test_valid_types_match_filtered_reference_in_order(kind):
-    for n in range(0, 23):
+    for n in range(0, 25):
         expected = [parts for parts in _reverse_lex(n, n)
                     if is_valid_jordan_type(Partition(parts), kind)]
-        assert [p.parts for p in valid_jordan_types(kind, n)] == expected, n
+        types = valid_jordan_types(kind, n)
+        assert [p.parts for p in types] == expected, n
+        # The types are made without the check; each must be the Partition
+        # the checked constructor makes of the same parts.
+        checked = [Partition(parts) for parts in expected]
+        assert types == checked, n
+        assert list(map(hash, types)) == list(map(hash, checked)), n
+        assert list(map(repr, types)) == list(map(repr, checked)), n
+        assert types == sorted(checked, reverse=True), n
+        for p, q in zip(types, checked[1:]):
+            assert q < p and p > q and not p < q, (p, q)
 
 
 def test_valid_types_rejects_unknown_kind():
