@@ -183,25 +183,20 @@ def cmd_verify(args, out) -> int:
         return 1
     except realizations.RealizationError as exc:
         raise UsageError(str(exc))
-    v = classifier.classify(r.orbit)
-    predicted = classifier.predicted_coisotropy(v)
     try:
-        rep = verifier.coisotropy_check(r, args.seed, predicted.get("stabilizer_dim", 0))
+        rep = verifier.coisotropy_check(r, args.seed)
     except verifier.SliceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    record = rep.to_dict()
-    out.write(json.dumps(record, sort_keys=True) + "\n")
+    out.write(json.dumps(rep.to_dict(), sort_keys=True) + "\n")
     if rep.inconclusive:
         print(f"verify: {r.label} is inconclusive: omega has rank {rep.omega_rank} "
               f"< dim_ambient {rep.dim_ambient} at every sampled point", file=sys.stderr)
         return 1
-    wrong = [f"{key} {record[key]}, predicted {value}"
-             for key, value in predicted.items()
-             if record[key] != value]
+    wrong = verifier.disagreements(rep, classifier.predicted_coisotropy(r.verdict))
     if wrong:
         print(f"verify: {r.label} disagrees with the classifier "
-              f"({v.status.value}): " + "; ".join(wrong), file=sys.stderr)
+              f"({r.verdict.status.value}): " + "; ".join(wrong), file=sys.stderr)
         return 1
     return 0
 

@@ -7,7 +7,9 @@ basis of the centralizer z(f) (so the slice is e + span of it), and a
 basis of the reductive symmetry algebra q, the centralizer of the triple
 (traceless for gl).  g, z(f) and q are each found by an exact kernel,
 z(f) inside g and q inside z(f), then cross-checked against the
-combinatorial dimension formulas.
+combinatorial dimension formulas.  A realization also carries the
+classifier's verdict on its orbit, the prediction its samples are
+checked against.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 
-from . import liealg
+from . import classifier, liealg
 from .exactlinalg import RatMatrix, Subspace, ad_rows, bracket, kernel
 from .liealg import AlgebraFamily, OrbitDatum
 from .partitions import Partition, multiplicities
@@ -41,7 +43,7 @@ MAX_REALIZATION_SIZE = 12
 @dataclass
 class MatrixRealization:
     label: str
-    orbit: OrbitDatum                # the modeled Jordan type and its slice numbers
+    verdict: classifier.Verdict      # the classifier's verdict on the modeled orbit
     e: RatMatrix
     f: RatMatrix
     h: RatMatrix
@@ -50,6 +52,11 @@ class MatrixRealization:
     q_basis: list[RatMatrix]
     gram: RatMatrix | None = None    # bilinear form cutting out g, None for gl
     _zf: Subspace | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def orbit(self) -> OrbitDatum:
+        """The modeled Jordan type and its slice numbers."""
+        return self.verdict.orbit
 
     @property
     def family(self) -> AlgebraFamily:
@@ -274,8 +281,8 @@ def classical_triple(family: AlgebraFamily, p: Partition) -> MatrixRealization:
     if len(q_basis) != expected_q:
         raise InconsistentRealization(
             f"{label}: dim q = {len(q_basis)}, expected {expected_q}")
-    return MatrixRealization(label=label, orbit=o, e=e, f=f, h=h, g_basis=g_basis,
-                             zf_basis=zf_basis, q_basis=q_basis, gram=gram)
+    return MatrixRealization(label=label, verdict=classifier.classify(o), e=e, f=f, h=h,
+                             g_basis=g_basis, zf_basis=zf_basis, q_basis=q_basis, gram=gram)
 
 
 def sp6_q_cartan() -> RatMatrix:

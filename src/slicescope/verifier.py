@@ -10,6 +10,17 @@ so it lies on the slice by construction.  Sampling can only support or
 falsify generic-point claims, never prove them: a degenerate sample is
 retried and persistent degeneracy is reported as inconclusive, never as
 success.
+
+The stop rule reads the prediction from the verdict the realization
+carries.  A sample is final when omega has full rank and its record
+agrees with every predicted field; otherwise up to ``_MAX_ATTEMPTS``
+seeds are tried and the most generic sample is kept, by omega rank,
+then dim W, then the rank of omega on W.  A special point can only
+lower each of these ranks.  At full omega rank the rank of omega on W
+is dim W - dim(W meet W-perp), at least 2 dim W - ambient, with
+equality exactly when W contains W-perp.  So a special sample can make
+W look coisotropic, never the reverse, and the sample kept is the most
+generic one seen, whatever the prediction.
 """
 
 from __future__ import annotations
@@ -18,6 +29,7 @@ import random
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
+from .classifier import predicted_coisotropy
 from .exactlinalg import RatMatrix, Row, Subspace, ad_rows, trace_form
 from .realizations import MatrixRealization
 
@@ -231,26 +243,40 @@ def _check_at(r: MatrixRealization, seed: int) -> CoisotropyReport:
     )
 
 
-def coisotropy_check(r: MatrixRealization, seed: int,
-                     stabilizer: int = 0) -> CoisotropyReport:
+def disagreements(rep: CoisotropyReport, predicted: dict[str, object]) -> list[str]:
+    """One "field value, predicted value" phrase per predicted field the record misses."""
+    return [f"{key} {getattr(rep, key)}, predicted {value}"
+            for key, value in predicted.items() if getattr(rep, key) != value]
+
+
+def _genericity(rep: CoisotropyReport) -> tuple[int, int, int]:
+    """(omega rank, dim W, rank of omega on W): a special sample can only lower each."""
+    return rep.omega_rank, rep.dim_W, rep.dim_W - rep.dim_intersection
+
+
+def coisotropy_check(r: MatrixRealization, seed: int) -> CoisotropyReport:
     """Coisotropy report at a sampled generic point, with retries.
 
-    Up to three fresh seeds are tried; the sample of maximal rank data
-    (omega rank, then orbit dimension) is kept.  A sample with full omega
-    rank and a stabilizer of dimension at most ``stabilizer``, the
-    expected generic one, is final: the generic stabilizer is the
-    smallest, so no retry could raise the orbit dimension.  If the
-    symplectic form never reaches full rank the report is flagged
-    inconclusive.
+    The prediction is ``predicted_coisotropy`` of the realization's
+    verdict.  A sample with full omega rank whose record agrees with
+    every predicted field is final.  Otherwise up to three seeds, seed,
+    seed + 1, ..., are tried, and the first sample of the largest
+    (omega rank, dim W, dim W - dim(W meet W-perp)) is kept.  A special
+    point can only lower a rank, and at full omega rank the last one is
+    the rank of omega on W, at least 2 dim W - ambient with equality
+    exactly when W contains W-perp: a special sample can only make W
+    look coisotropic, so the kept sample is the most generic one seen,
+    whether or not it agrees.  If the symplectic form never reaches
+    full rank the report is flagged inconclusive.
     """
+    predicted = predicted_coisotropy(r.verdict)
     best = _check_at(r, seed)
     for attempt in range(1, _MAX_ATTEMPTS):
-        if best.omega_rank == best.dim_ambient and best.stabilizer_dim <= stabilizer:
+        if best.omega_rank == best.dim_ambient and not disagreements(best, predicted):
             break
         rep = _check_at(r, seed + attempt)
-        if (rep.omega_rank, rep.dim_W) > (best.omega_rank, best.dim_W):
+        if _genericity(rep) > _genericity(best):
             best = rep
     if best.omega_rank < best.dim_ambient:
         best = replace(best, inconclusive=True)
     return best
-

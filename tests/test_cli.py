@@ -135,8 +135,8 @@ def test_verify_agrees_with_classifier(capsys, case):
 def test_verify_disagreement_exits_1(capsys, monkeypatch):
     real = verifier.coisotropy_check
 
-    def not_contained(r, seed, stabilizer=0):
-        return dataclasses.replace(real(r, seed, stabilizer), contained=False)
+    def not_contained(r, seed):
+        return dataclasses.replace(real(r, seed), contained=False)
 
     monkeypatch.setattr(verifier, "coisotropy_check", not_contained)
     code, out, err = run(capsys, "verify", "--case", "sp6-33")
@@ -150,8 +150,8 @@ def test_verify_disagreement_exits_1(capsys, monkeypatch):
 def test_verify_inconclusive_exits_1_with_a_reason(capsys, monkeypatch):
     real = verifier.coisotropy_check
 
-    def degenerate(r, seed, stabilizer=0):
-        rep = real(r, seed, stabilizer)
+    def degenerate(r, seed):
+        rep = real(r, seed)
         return dataclasses.replace(rep, omega_rank=rep.dim_ambient - 2, inconclusive=True)
 
     monkeypatch.setattr(verifier, "coisotropy_check", degenerate)
@@ -167,8 +167,8 @@ def test_verify_inconclusive_exits_1_with_a_reason(capsys, monkeypatch):
 @pytest.mark.parametrize("case", ["gl6-1.1.1.1.1.1", "so4-2.2", "gl6-hook2"])
 def test_verify_stops_at_the_predicted_stabilizer(capsys, monkeypatch, case):
     # The zero orbit and so(4) (2,2) have a nonzero generic stabilizer; a
-    # sample that reaches it is final, and the record is the one all
-    # three attempts of the library default keep.
+    # sample that reaches it is final.  The library call and the CLI read
+    # the prediction from the model's verdict alike, so both keep seed 0.
     full = verifier.coisotropy_check(realizations.build_case(case), 0).to_dict()
     real, seeds = verifier._check_at, []
 
@@ -183,9 +183,69 @@ def test_verify_stops_at_the_predicted_stabilizer(capsys, monkeypatch, case):
     assert json.loads(out) == full
 
 
+@pytest.mark.parametrize("seed", [134815, 257892, 434274, 450277, 287059])
+def test_verify_keeps_the_most_generic_sample(capsys, seed):
+    # At these seeds the first sample of the negative control is special:
+    # W meets W-perp in 10 dimensions, so W looks coisotropic.  It does not
+    # agree with the prediction, so a retry is made and the generic one kept.
+    code, out, err = run(capsys, "verify", "--case", "gl6-2.2.2", "--seed", str(seed))
+    assert (code, err) == (0, "")
+    rec = json.loads(out)
+    assert rec["contained"] is False and rec["dim_intersection"] == 8
+    assert seed <= rec["seed"] < seed + 3
+
+
+def _report(case, dim_ambient, dim_W, dim_intersection, stabilizer_dim=0):
+    """A full-rank record; W-perp and containment follow from the dimensions."""
+    dim_perp = dim_ambient - dim_W
+    return verifier.CoisotropyReport(
+        case=case, seed=-1, dim_ambient=dim_ambient, omega_rank=dim_ambient,
+        dim_W=dim_W, dim_W_perp=dim_perp, contained=dim_intersection == dim_perp,
+        dim_intersection=dim_intersection, stabilizer_dim=stabilizer_dim,
+        inconclusive=False)
+
+
+_GL6_GENERIC = _report("gl6-2.2.2", 54, 44, 8)
+_GL6_CONTAINED = _report("gl6-2.2.2", 54, 44, 10)
+_SP6_GENERIC = _report("sp6-33", 28, 24, 4)
+_SP6_NOT_CONTAINED = _report("sp6-33", 28, 24, 3)
+_SP6_STABILIZED = _report("sp6-33", 28, 23, 5, stabilizer_dim=1)
+
+
+@pytest.mark.parametrize("case, script, attempts, kept, wrong", [
+    # A contained sample of lower omega|W rank is retried; the generic one is final.
+    ("gl6-2.2.2", [_GL6_CONTAINED, _GL6_GENERIC, _GL6_GENERIC], 2, 1, None),
+    # The most generic sample disagrees; later, less generic ones agree but are not kept.
+    ("sp6-33", [_SP6_NOT_CONTAINED, _SP6_GENERIC, _SP6_GENERIC], 3, 0,
+     "contained False, predicted True"),
+    # A stabilizer above the prediction is retried.
+    ("sp6-33", [_SP6_STABILIZED, _SP6_GENERIC, _SP6_GENERIC], 2, 1, None),
+    # Of equally generic samples, the first is kept.
+    ("sp6-33", [_SP6_STABILIZED] * 3, 3, 0,
+     "stabilizer_dim 1, predicted 0; dim_W_perp 5, predicted 4"),
+])
+def test_verify_stop_rule(capsys, monkeypatch, case, script, attempts, kept, wrong):
+    seeds = []
+
+    def scripted(r, seed):
+        seeds.append(seed)
+        return dataclasses.replace(script[seed - 40], seed=seed)
+
+    monkeypatch.setattr(verifier, "_check_at", scripted)
+    code, out, err = run(capsys, "verify", "--case", case, "--seed", "40")
+    assert seeds == list(range(40, 40 + attempts))
+    assert json.loads(out) == dataclasses.replace(script[kept], seed=40 + kept).to_dict()
+    if wrong is None:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 1
+        assert err == (f"verify: {case} disagrees with the classifier "
+                       f"(HypersphericalSpecial): {wrong}\n")
+
+
 def test_verify_computes_the_orbit_datum_once(capsys, monkeypatch):
-    # The matrix model carries the orbit datum it was built from, and
-    # verify classifies that one.
+    # The matrix model carries the verdict on the orbit datum it was built
+    # from, and verify reads that one.
     real, calls = liealg.orbit_datum, []
 
     def counted(family, p):

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from slicescope.classifier import classify
 from slicescope.exactlinalg import RatMatrix, Subspace, bracket, kernel
 from slicescope.liealg import (AlgebraFamily, effective_centralizer, exceptional, gl,
                                orbit_datum, so, sp)
@@ -195,6 +196,7 @@ def test_hook_dims_match_combinatorics():
     for fam, p in cases:
         r = classical_triple(fam, p)
         assert r.orbit == orbit_datum(fam, p)
+        assert r.verdict == classify(orbit_datum(fam, p))
         assert (r.family, r.jordan_type) == (fam, p)
         assert r.dim_g == fam.dim
         assert r.dim_zf == orbit_datum(fam, p).slice_dim

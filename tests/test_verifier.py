@@ -124,6 +124,11 @@ def test_coisotropy_negative_case():
         assert rep.dim_intersection < rep.dim_W_perp, label
 
 
+def test_special_first_sample_of_a_negative_control_is_not_kept():
+    # Seed 134815 samples gl6-2.2.2 where W contains W-perp; seed 134816 is generic.
+    assert not coisotropy_check(build_case("gl6-2.2.2"), 134815).contained
+
+
 def test_every_small_type_agrees_with_the_classifier():
     """Every valid gl/sp/so type with n <= 8 confirms its verdict in a model."""
     checked = 0
