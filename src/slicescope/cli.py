@@ -153,7 +153,7 @@ def cmd_dual(args, out) -> int:
     try:
         dual = superdual.s_dual(v)
     except superdual.NoDualError as exc:
-        out.write(f"error: {exc}\n")
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     out.write(f"{dual} [{dual.provenance}]\n")
     return 0

@@ -22,7 +22,7 @@ class TableError(ValueError):
     pass
 
 
-_FACTOR_RE = re.compile(r"(SO|GL|Sp|G2|F4|E6|E7|E8|[ABCDT])(\d*)")
+_FACTOR_RE = re.compile(r"(G2|F4|E6|E7|E8)|(SO|GL|Sp|[ABCDT])(\d*)")
 
 
 def parse_centralizer(text: str) -> ReductiveProduct:
@@ -35,18 +35,16 @@ def parse_centralizer(text: str) -> ReductiveProduct:
         m = _FACTOR_RE.fullmatch(token)
         if not m:
             raise TableError(f"bad centralizer factor: {token!r}")
-        kind, num = m.group(1), m.group(2)
-        if kind in ("G2", "F4", "E6", "E7", "E8"):
-            factors.append(AlgebraFamily(kind))
-        elif kind in ("A", "B", "C", "D", "T", "GL", "Sp", "SO"):
-            if not num:
-                raise TableError(f"factor {token!r} needs a size")
-            try:
-                factors.append(AlgebraFamily(kind, int(num)))
-            except ValueError as exc:
-                raise TableError(f"bad centralizer factor {token!r}: {exc}") from None
-        else:
-            raise TableError(f"unknown factor kind: {token!r}")
+        exceptional, kind, num = m.groups()
+        if exceptional:
+            factors.append(AlgebraFamily(exceptional))
+            continue
+        if not num:
+            raise TableError(f"factor {token!r} needs a size")
+        try:
+            factors.append(AlgebraFamily(kind, int(num)))
+        except ValueError as exc:
+            raise TableError(f"bad centralizer factor {token!r}: {exc}") from None
     return ReductiveProduct(tuple(factors))
 
 

@@ -75,25 +75,6 @@ def slice_point(r: MatrixRealization, seed: int) -> SlicePoint:
     return SlicePoint(r, tuple(rng.randint(-_BOX, _BOX) for _ in r.zf_basis))
 
 
-def _by_transposed_support(basis: list[RatMatrix]) -> dict[tuple[int, int], list[int]]:
-    """(k, l) -> indices, in order, of the basis elements nonzero at (l, k)."""
-    index: dict[tuple[int, int], list[int]] = {}
-    for t, b in enumerate(basis):
-        for l, row in enumerate(b.entries):
-            for k in row:
-                index.setdefault((k, l), []).append(t)
-    return index
-
-
-def _meeting(a: RatMatrix, index: dict[tuple[int, int], list[int]]) -> list[int]:
-    """Sorted indices of the elements b of an indexed basis with tr(ab) possibly nonzero."""
-    out: set[int] = set()
-    for k, row in enumerate(a.entries):
-        for l in row:
-            out.update(index.get((k, l), ()))
-    return sorted(out)
-
-
 def omega_gram(pt: SlicePoint) -> RatMatrix:
     """Gram matrix of the slice symplectic form on the basis g + z(f).
 
@@ -106,31 +87,29 @@ def omega_gram(pt: SlicePoint) -> RatMatrix:
     basis element replaces one per pair; and tr(ab) is the sum of
     a_kl b_lk, the dot product of the flattened a with the flattened
     transpose of b.  So the block is one sparse product: the flattened
-    [x, b_i] as rows times the flattened transposes of the g basis as
-    columns.  It is antisymmetric, so only j > i is read from it.
+    [x, b_i] as rows times g_cols, whose row kn + l lists the b_i with
+    b_i[l][k] nonzero.  The block is antisymmetric, so only j > i is
+    read from the product.
 
-    The g x z(f) block pairs only elements whose supports meet: when no
-    (k, l) in the support of a has (l, k) in the support of b, every
-    term of tr(ab) is zero, so skipping the pair cannot drop a nonzero
-    entry.  The z(f) basis is indexed by the transposed positions of its
-    nonzero entries, and each g element looks up the ones it meets.
+    The g x z(f) block pairs z_j only with the b_i that g_cols lists at
+    its support; every other pair has tr(z_j b_i) = 0 term by term.
     """
     r, x = pt.realization, pt.x
     dg, dz = r.dim_g, r.dim_zf
     n = x.rows
     ad_x = ad_rows(x, [b.flat_row() for b in r.g_basis])
-    g_t = RatMatrix.from_rows([b.transpose().flat_row() for b in r.g_basis], n * n)
-    pairs = RatMatrix.from_rows(ad_x, n * n) @ g_t.transpose()
+    g_cols = RatMatrix.from_rows(
+        [b.transpose().flat_row() for b in r.g_basis], n * n).transpose()
+    pairs = RatMatrix.from_rows(ad_x, n * n) @ g_cols
     gram = {}
     for i, row in enumerate(pairs.entries):
         for j, val in row.items():
             if j > i:
                 gram[i, j] = val
                 gram[j, i] = -val
-    zf_index = _by_transposed_support(r.zf_basis)
-    for i, bi in enumerate(r.g_basis):
-        for j in _meeting(bi, zf_index):
-            val = -trace_form(r.zf_basis[j], bi)
+    for j, z in enumerate(r.zf_basis):
+        for i in sorted(set().union(*(g_cols.entries[c] for c in z.flat_row()))):
+            val = -trace_form(z, r.g_basis[i])
             if val:
                 gram[i, dg + j] = val
                 gram[dg + j, i] = -val

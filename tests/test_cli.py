@@ -97,9 +97,10 @@ def test_check_and_dual_size_the_algebra_from_the_partition(capsys):
     assert code == 2 and err == "usage error: no rank/size given\n" and not out
 
 def test_dual_of_non_hyperspherical_exits_1(capsys):
-    code, out, _ = run(capsys, "dual", "--family", "gl", "--partition", "3,2")
+    code, out, err = run(capsys, "dual", "--family", "gl", "--partition", "3,2")
     assert code == 1
-    assert "no S-dual" in out
+    assert out == ""
+    assert err.startswith("error: ") and "no S-dual" in err
 
 
 def test_verify_case(capsys):
@@ -261,10 +262,15 @@ def test_verify_computes_the_orbit_datum_once(capsys, monkeypatch):
 
 def test_omega_gram_pairs_only_supports_that_meet(capsys, monkeypatch):
     # All pairs would be dg(dg-1)/2 + dg*dz trace_form calls per Gram
-    # matrix, 1638 for sp8-hook6; pairing supports leaves about an eighth.
+    # matrix, 1638 for sp8-hook6; trace_form is called exactly on the
+    # (b, z) pairs in g x z(f) whose supports meet, b[l][k] and z[k][l]
+    # both nonzero: 28 of them.
     r = realizations.build_case("sp8-hook6")
     all_pairs = r.dim_g * (r.dim_g - 1) // 2 + r.dim_g * r.dim_zf
     assert all_pairs == 1638
+    meeting = sum(1 for b in r.g_basis for z in r.zf_basis
+                  if any(l in z.entries[k] for l, row in enumerate(b.entries) for k in row))
+    assert meeting == 28
     real_gram, real_trace, grams, traces = verifier.omega_gram, verifier.trace_form, [], []
 
     def counted_gram(pt):
@@ -279,7 +285,7 @@ def test_omega_gram_pairs_only_supports_that_meet(capsys, monkeypatch):
     monkeypatch.setattr(verifier, "trace_form", counted_trace)
     code, _, _ = run(capsys, "verify", "--case", "sp8-hook6")
     assert code == 0 and grams
-    assert len(traces) <= len(grams) * all_pairs // 4
+    assert len(traces) == len(grams) * meeting
 
 
 def test_verify_brackets_only_to_check_the_model(capsys, monkeypatch):

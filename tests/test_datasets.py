@@ -28,6 +28,9 @@ def test_parse_centralizer_rejects_garbage():
         parse_centralizer("A1*B2")      # wrong separator
     with pytest.raises(TableError, match=r"bad centralizer factor 'Sp3': Sp needs an even"):
         parse_centralizer("Sp3")        # Sp of odd matrix size
+    for token in ("G25", "E81", "F40"):   # an exceptional factor takes no number
+        with pytest.raises(TableError, match=f"bad centralizer factor: '{token}'"):
+            parse_centralizer(token)
 
 
 def test_builtin_g2_table():
