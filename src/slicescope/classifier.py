@@ -133,7 +133,7 @@ NON_HOOK_CASES: dict[tuple[str, tuple[int, ...]], NonHookCase] = {
     ("SO", (2, 2, 1, 1)): _via("GL", (2, 1, 1)),
     ("SO", (2, 2, 1)): _via("Sp", (2, 1, 1)),
     ("SO", (4, 4)): _via("SO", (5, 1, 1, 1), " (triality)"),
-    ("SO", (2, 2, 2, 2)): _via("SO", (3, 1, 1, 1, 1), " (triality)"),
+    ("SO", (2, 2, 2, 2)): _via("SO", (3, 1, 1, 1, 1, 1), " (triality)"),
 }
 
 

@@ -30,7 +30,8 @@ from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 from .classifier import predicted_coisotropy
-from .exactlinalg import RatMatrix, Row, Subspace, ad_rows, trace_form
+from .exactlinalg import (Entry, RatMatrix, Row, Subspace, _axpy, _clean, _integer_row,
+                          _rref, ad_rows, trace_form)
 from .realizations import MatrixRealization
 
 _BOX = 5          # sample coefficients from [-BOX, BOX]
@@ -46,6 +47,8 @@ class SlicePoint:
     """x = e + sum of c_i z_i; one coefficient per z(f) basis element, so x is on the slice.
 
     x and the rotations [x, c], c in q, are formed on first read and kept.
+    x is summed as one flattened sparse row, e's entries plus c_i times
+    those of each z_i with c_i nonzero, and made a matrix once.
     """
     realization: MatrixRealization
     coefficients: tuple[int, ...]
@@ -58,11 +61,12 @@ class SlicePoint:
     @cached_property
     def x(self) -> RatMatrix:
         r = self.realization
-        x = r.e
-        for c, b in zip(self.coefficients, r.zf_basis):
+        n = r.e.rows
+        x = r.e.flat_row()
+        for c, z in zip(self.coefficients, r.zf_basis):
             if c:
-                x = x + b.scale(c)
-        return x
+                _axpy(x, c, z.flat_row())
+        return RatMatrix.from_flat_row(x, n, n)
 
     @cached_property
     def rotations(self) -> list[Row]:
@@ -73,6 +77,42 @@ class SlicePoint:
 def slice_point(r: MatrixRealization, seed: int) -> SlicePoint:
     rng = random.Random(seed)
     return SlicePoint(r, tuple(rng.randint(-_BOX, _BOX) for _ in r.zf_basis))
+
+
+# Column k -> the (row index, entry) pairs of a matrix's nonzero entries in
+# column k, by increasing row index.
+ColumnIndex = list[list[tuple[int, Entry]]]
+
+
+def _column_index(m: RatMatrix) -> ColumnIndex:
+    index: ColumnIndex = [[] for _ in range(m.cols)]
+    for j, row in enumerate(m.entries):
+        for k, val in row.items():
+            index[k].append((j, val))
+    return index
+
+
+def _antisymmetric_product(rows: list[Row], b_cols: ColumnIndex, size: int) -> list[Row]:
+    """The rows of a . b^T, size x size, for a product known to be antisymmetric.
+
+    a is given by its rows and b by its column index.  Only the entries
+    (i, j) with j > i are summed: each list of b_cols is read from its
+    end and stops at j = i.  Entry (j, i) is minus entry (i, j), and the
+    diagonal is zero.  Rows past the last row of a hold only those
+    mirrored entries, so a caller may fill in a border.
+    """
+    out: list[Row] = [{} for _ in range(size)]
+    for i, (row, out_i) in enumerate(zip(rows, out)):
+        acc: Row = {}
+        for k, x in row.items():
+            for j, val in reversed(b_cols[k]):
+                if j <= i:
+                    break
+                acc[j] = acc.get(j, 0) + x * val
+        for j, val in _clean(acc).items():
+            out_i[j] = val
+            out[j][i] = -val
+    return out
 
 
 def omega_gram(pt: SlicePoint) -> RatMatrix:
@@ -86,10 +126,13 @@ def omega_gram(pt: SlicePoint) -> RatMatrix:
     pairing gives (x, [b_i, b_j]) = ([x, b_i], b_j), so one bracket per
     basis element replaces one per pair; and tr(ab) is the sum of
     a_kl b_lk, the dot product of the flattened a with the flattened
-    transpose of b.  So the block is one sparse product: the flattened
-    [x, b_i] as rows times g_cols, whose row kn + l lists the b_i with
-    b_i[l][k] nonzero.  The block is antisymmetric, so only j > i is
-    read from the product.
+    transpose of b.  So entry (i, j) is the flattened [x, b_i] dotted
+    with the flattened b_j^T.  g_cols, the column index of those
+    transposes, is read straight off the flattened g rows that ad_rows
+    takes, with no transpose formed: its row kn + l lists, by
+    increasing i, the (i, b_i[l][k]) with b_i[l][k] nonzero.  The block
+    is antisymmetric, so only its entries with j > i are summed
+    (``_antisymmetric_product``) and the rest are their negatives.
 
     The g x z(f) block pairs z_j only with the b_i that g_cols lists at
     its support; every other pair has tr(z_j b_i) = 0 term by term.
@@ -97,23 +140,20 @@ def omega_gram(pt: SlicePoint) -> RatMatrix:
     r, x = pt.realization, pt.x
     dg, dz = r.dim_g, r.dim_zf
     n = x.rows
-    ad_x = ad_rows(x, [b.flat_row() for b in r.g_basis])
-    g_cols = RatMatrix.from_rows(
-        [b.transpose().flat_row() for b in r.g_basis], n * n).transpose()
-    pairs = RatMatrix.from_rows(ad_x, n * n) @ g_cols
-    gram = {}
-    for i, row in enumerate(pairs.entries):
-        for j, val in row.items():
-            if j > i:
-                gram[i, j] = val
-                gram[j, i] = -val
+    flat_g = [b.flat_row() for b in r.g_basis]
+    g_cols: ColumnIndex = [[] for _ in range(n * n)]
+    for i, b in enumerate(flat_g):
+        for c, val in b.items():
+            l, k = divmod(c, n)
+            g_cols[k * n + l].append((i, val))
+    gram = _antisymmetric_product(ad_rows(x, flat_g), g_cols, dg + dz)
     for j, z in enumerate(r.zf_basis):
-        for i in sorted(set().union(*(g_cols.entries[c] for c in z.flat_row()))):
+        for i in sorted({i for c in z.flat_row() for i, _ in g_cols[c]}):
             val = -trace_form(z, r.g_basis[i])
             if val:
-                gram[i, dg + j] = val
-                gram[dg + j, i] = -val
-    return RatMatrix.from_entries(dg + dz, dg + dz, gram)
+                gram[i][dg + j] = val
+                gram[dg + j][i] = -val
+    return RatMatrix.from_rows(gram, dg + dz)
 
 
 def orbit_tangent(pt: SlicePoint) -> Subspace:
@@ -122,18 +162,23 @@ def orbit_tangent(pt: SlicePoint) -> Subspace:
     In g + z(f) coordinates: all of g (left translations), plus the
     directions [c, x] for c in q (the slice rotations), taken as their
     negatives [x, c], which span the same space.  Each must land back in
-    z(f); anything else means a broken realization.
+    z(f); anything else means a broken realization.  The rotations have
+    no g coordinates, so only their z(f) coordinates are eliminated: the
+    basis is the dim g unit rows, then the reduced row echelon form of
+    those coordinates shifted past g.
     """
     r = pt.realization
     dg = r.dim_g
     zf = r.zf_subspace()
-    gens = [{i: 1} for i in range(dg)]
+    coords = []
     for col in pt.rotations:
-        coords = zf.coords(col)
-        if coords is None:
+        c = zf.coords(col)
+        if c is None:
             raise SliceError("q direction leaves z(f): broken realization")
-        gens.append({dg + t: v for t, v in coords.items()})
-    return Subspace.span(dg + r.dim_zf, gens)
+        coords.append(c)
+    rows = [{i: 1} for i in range(dg)]
+    rows += [{dg + t: v for t, v in row.items()} for row in _rref(coords)[0]]
+    return Subspace(dg + r.dim_zf, rows, check=False)
 
 
 def stabilizer_dim(pt: SlicePoint) -> int:
@@ -167,19 +212,24 @@ class CoisotropyReport:
 def _containment(m: RatMatrix, gram: RatMatrix, omega_rank: int) -> tuple[int, int, bool]:
     """(dim W-perp, dim of W meet W-perp, W contains W-perp) for W = row space of m.
 
-    The rows of m must be independent, and omega_rank must be the rank
-    of gram.  v is omega-orthogonal to W iff m . gram . v = 0, so
-    dim W-perp = ambient - rank(m . gram); when gram is invertible that
-    rank is dim W, and no elimination is needed.  A vector m^T a of W
-    lies in W-perp iff (m . gram . m^T) a = 0, and a -> m^T a is
-    injective, so W meet W-perp, the radical of omega on W, has
-    dimension dim W - rank(m . gram . m^T).  W contains W-perp iff that
-    intersection is all of W-perp.
+    The rows of m must be independent, gram must be antisymmetric, and
+    omega_rank must be the rank of gram.  Each row of m is first scaled
+    to integers, which changes neither W nor any rank below.  v is
+    omega-orthogonal to W iff m . gram . v = 0, so dim W-perp = ambient
+    - rank(m . gram); when gram is invertible that rank is dim W, and no
+    elimination is needed.  A vector m^T a of W lies in W-perp iff
+    (m . gram . m^T) a = 0, and a -> m^T a is injective, so W meet
+    W-perp, the radical of omega on W, has dimension dim W - rank(m .
+    gram . m^T).  That restricted form is antisymmetric, so it is formed
+    from its entries (i, j) with j > i alone (``_antisymmetric_product``).
+    W contains W-perp iff the intersection is all of W-perp.
     """
     ambient = gram.rows
+    m = RatMatrix.from_rows([_integer_row(row) for row in m.entries], m.cols)
     mg = m @ gram
     dim_perp = ambient - (m.rows if omega_rank == ambient else mg.rank())
-    intersection = m.rows - (mg @ m.transpose()).rank()
+    restricted = _antisymmetric_product(mg.entries, _column_index(m), m.rows)
+    intersection = m.rows - RatMatrix.from_rows(restricted, m.rows).rank()
     return dim_perp, intersection, intersection == dim_perp
 
 

@@ -6,7 +6,7 @@ from slicescope.classifier import (EXPECTED_EXCEPTIONS, NON_HOOK_CASES, Status,
                                    classify, enumerate_and_classify,
                                    necessary_bound, reduced_inequality,
                                    sweep_inequality_proof)
-from slicescope.liealg import gl, orbit_datum, so, sp
+from slicescope.liealg import AlgebraFamily, gl, orbit_datum, so, sp
 from slicescope.partitions import Partition, valid_jordan_types
 
 
@@ -103,6 +103,25 @@ def test_non_hook_case_images():
     fam, p = NON_HOOK_CASES["SO", (3, 3)].image
     assert (fam.kind, fam.size, p.parts) == ("GL", 4, (3, 1))
     assert ("GL", (3, 2)) not in NON_HOOK_CASES
+
+
+def test_non_hook_case_images_share_the_slice_numbers():
+    # An isomorphism or triality carries the slice and its symmetry over: the
+    # image has the same dim and rank of Q_eff and the same slice dim, except
+    # that a gl side carries one more, the central scalars its slice keeps.
+    checked = 0
+    for (kind, parts), case in NON_HOOK_CASES.items():
+        if case.image is None:
+            continue
+        fam, p = case.image
+        source = orbit_datum(AlgebraFamily(kind, sum(parts)), Partition(parts))
+        image = orbit_datum(fam, p)
+        q, q_image = source.effective_centralizer, image.effective_centralizer
+        assert (q.dim, q.rank) == (q_image.dim, q_image.rank), (kind, parts)
+        assert (source.slice_dim - (kind == "GL")
+                == image.slice_dim - (fam.kind == "GL")), (kind, parts)
+        checked += 1
+    assert checked == 7
 
 
 @pytest.mark.parametrize("kind", ["GL", "Sp", "SO"])

@@ -388,6 +388,27 @@ def test_verify_output_matches_the_recorded_digest(capsys, monkeypatch):
     assert digest.hexdigest() == VERIFY_CASES_DIGEST
 
 
+# SHA-256 over the command line, its exit code, a newline, stdout and
+# stderr, for `verify --family F --partition P` on every valid gl/sp/so
+# type with n <= 8 at the default seed 0.  It pins the records beyond the
+# benchmark's labels.
+VERIFY_TYPES_DIGEST = "d8f0c7e3bcd7d3422fd128f0d4a13e8c2869feb15b81964168c5e00caa9cc13f"
+
+
+def test_verify_every_small_type_matches_the_recorded_digest(capsys):
+    digest = hashlib.sha256()
+    count = 0
+    for family, kind in (("gl", "GL"), ("sp", "Sp"), ("so", "SO")):
+        for n in range(1, 9):
+            for p in valid_jordan_types(kind, n):
+                argv = ["verify", "--family", family, "--partition", ",".join(map(str, p.parts))]
+                code, out, err = run(capsys, *argv)
+                digest.update(f"{' '.join(argv)} {code}\n{out}{err}".encode())
+                count += 1
+    assert count == 127
+    assert digest.hexdigest() == VERIFY_TYPES_DIGEST
+
+
 def _classify_commands() -> list[list[str]]:
     """classify in every format on three algebras, sweep on every family,
     and check (pretty) and dual on every valid type with n <= 6."""

@@ -69,6 +69,8 @@ def test_via_isomorphism_duals_route_through_hook_image():
     assert str(_dual_of(sp(4), (2, 2))) == "osp(2|4)"
     # so (3,3) -> gl(4) hook (3,1) -> gl(4|1).
     assert str(_dual_of(so(6), (3, 3))) == "gl(4|1)"
+    # so(8) (2,2,2,2) -> so(8) hook (3,1,1,1,1,1) by triality -> osp(8|4).
+    assert str(_dual_of(so(8), (2, 2, 2, 2))) == "osp(8|4)"
     # so(4) (2,2): split description, no single superalgebra.
     d = _dual_of(so(4), (2, 2))
     assert d.algebras == () and "SL2^" in d.text

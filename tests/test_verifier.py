@@ -8,8 +8,9 @@ from slicescope.classifier import classify, predicted_coisotropy
 from slicescope.exactlinalg import RatMatrix, Subspace, bracket, kernel, trace_form
 from slicescope.liealg import AlgebraFamily, gl, orbit_datum
 from slicescope.realizations import build_case, classical_triple
-from slicescope.verifier import (SliceError, SlicePoint, _containment, coisotropy_check,
-                                 omega_gram, orbit_tangent, slice_point, stabilizer_dim)
+from slicescope.verifier import (SliceError, SlicePoint, _antisymmetric_product, _column_index,
+                                 _containment, coisotropy_check, omega_gram, orbit_tangent,
+                                 slice_point, stabilizer_dim)
 from slicescope.partitions import Partition, valid_jordan_types
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -169,19 +170,23 @@ def _kernel_stabilizer(r, x):
     return kernel(RatMatrix.from_rows(cols, x.rows * x.cols).transpose()).dim
 
 
-def test_rank_shortcuts_match_the_kernels(monkeypatch):
-    """Containment and the stabilizer from ranks equal their kernel-basis values.
+@pytest.fixture(scope="module")
+def samples():
+    """The verify-cases labels at seeds 0 and 1, and every valid gl/sp/so type
+    with n <= 8 at seed 0, as (realization, seed) pairs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        labels = importlib.import_module("workloads").VERIFY_CASES
+    out = [(build_case(label), seed) for label in labels for seed in (0, 1)]
+    out += [(classical_triple(AlgebraFamily(kind, n), p), 0)
+            for kind in ("GL", "Sp", "SO") for n in range(1, 9)
+            for p in valid_jordan_types(kind, n)]
+    assert len(out) == 2 * 38 + 127
+    return out
 
-    Samples: the verify-cases labels at seeds 0 and 1, and every valid
-    gl/sp/so type with n <= 8 at seed 0.
-    """
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    labels = importlib.import_module("workloads").VERIFY_CASES
-    samples = [(build_case(label), seed) for label in labels for seed in (0, 1)]
-    samples += [(classical_triple(AlgebraFamily(kind, n), p), 0)
-                for kind in ("GL", "Sp", "SO") for n in range(1, 9)
-                for p in valid_jordan_types(kind, n)]
-    assert len(samples) == 2 * 38 + 127
+
+def test_rank_shortcuts_match_the_kernels(samples):
+    """Containment and the stabilizer from ranks equal their kernel-basis values."""
     for r, seed in samples:
         pt = slice_point(r, seed)
         gram = omega_gram(pt)
@@ -189,6 +194,44 @@ def test_rank_shortcuts_match_the_kernels(monkeypatch):
         got = _containment(w.matrix(), gram, gram.rank())
         assert got == _kernel_containment(w, gram), (r.label, seed)
         assert stabilizer_dim(pt) == _kernel_stabilizer(r, pt.x), (r.label, seed)
+
+
+def test_slice_point_is_e_plus_the_combination(samples):
+    for r, seed in samples:
+        pt = slice_point(r, seed)
+        x = r.e
+        for c, z in zip(pt.coefficients, r.zf_basis):
+            x = x + z.scale(c)
+        assert pt.x == x, (r.label, seed)
+
+
+def _restricted_form(m, gram):
+    mg = m @ gram
+    return RatMatrix.from_rows(_antisymmetric_product(mg.entries, _column_index(m), m.rows),
+                               m.rows)
+
+
+def test_restricted_form_from_half_the_product(samples):
+    # omega on W from its entries above the diagonal, rows as _check_at orders them.
+    for r, seed in samples:
+        pt = slice_point(r, seed)
+        gram = omega_gram(pt)
+        w = orbit_tangent(pt)
+        m = RatMatrix.from_rows(w.rows[::-1], w.ambient_dim)
+        assert _restricted_form(m, gram) == (m @ gram) @ m.transpose(), (r.label, seed)
+
+
+def test_orbit_tangent_spans_all_generators(samples):
+    # The span of the dim g unit rows together with every rotation, in g + z(f).
+    for r, seed in samples:
+        pt = slice_point(r, seed)
+        dg = r.dim_g
+        zf = r.zf_subspace()
+        gens = [{i: 1} for i in range(dg)]
+        gens += [{dg + t: v for t, v in zf.coords(col).items()} for col in pt.rotations]
+        full = Subspace.span(dg + r.dim_zf, gens)
+        w = orbit_tangent(pt)
+        assert w.dim == full.dim and full.contains(w), (r.label, seed)
 
 
 def test_containment_on_degenerate_forms():
@@ -212,4 +255,6 @@ def test_containment_on_degenerate_forms():
         w = Subspace.span(k, [[rng.randint(-1, 1) for _ in range(k)]
                               for _ in range(rng.randint(0, k))])
         assert _containment(w.matrix(), gram, gram.rank()) == _kernel_containment(w, gram)
+        m = w.matrix()
+        assert _restricted_form(m, gram) == (m @ gram) @ m.transpose()
         checked += 1
