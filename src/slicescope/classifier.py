@@ -221,7 +221,8 @@ def sweep_inequality_proof(family_kind: str, n_max: int) -> SweepReport:
 
     Checks, for every valid Jordan type with n <= n_max, that the reduced
     inequality agrees with the direct bound comparison, and collects the
-    non-hook types where the bound fails to exclude.
+    non-hook types where the bound fails to exclude.  A range with no
+    valid type is refused: a sweep that checks nothing confirms nothing.
     """
     if n_max > 30:
         raise ValueError("n_max capped at 30")
@@ -247,6 +248,8 @@ def sweep_inequality_proof(family_kind: str, n_max: int) -> SweepReport:
                 if (hook_parameters(p) is None and not is_zero_type(p)
                         and not is_regular_type(family, p)):
                     exceptions.add(p.parts)
+    if not checked:
+        raise ValueError(f"no valid {family_kind} Jordan type with n <= {n_max}")
     expected = EXPECTED_EXCEPTIONS[family_kind]
     expected_in_range = {t for t in expected if sum(t) <= n_max}
     return SweepReport(

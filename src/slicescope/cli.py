@@ -178,21 +178,13 @@ def _realization(args) -> realizations.MatrixRealization:
 def cmd_verify(args, out) -> int:
     try:
         r = _realization(args)
+        rep = verifier.coisotropy_check(r, args.seed)
     except realizations.InconsistentRealization as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except realizations.RealizationError as exc:
         raise UsageError(str(exc))
-    try:
-        rep = verifier.coisotropy_check(r, args.seed)
-    except verifier.SliceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     out.write(json.dumps(rep.to_dict(), sort_keys=True) + "\n")
-    if rep.inconclusive:
-        print(f"verify: {r.label} is inconclusive: omega has rank {rep.omega_rank} "
-              f"< dim_ambient {rep.dim_ambient} at every sampled point", file=sys.stderr)
-        return 1
     wrong = verifier.disagreements(rep, classifier.predicted_coisotropy(r.verdict))
     if wrong:
         print(f"verify: {r.label} disagrees with the classifier "

@@ -233,6 +233,19 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols})"
 
 
+# Column k -> the (row index, entry) pairs of a matrix's nonzero entries in
+# column k, by increasing row index.
+ColumnIndex = list[list[tuple[int, Entry]]]
+
+
+def _column_index(m: RatMatrix) -> ColumnIndex:
+    index: ColumnIndex = [[] for _ in range(m.cols)]
+    for j, row in enumerate(m.entries):
+        for k, val in row.items():
+            index[k].append((j, val))
+    return index
+
+
 def _integer_row(row: Row) -> dict[int, int]:
     """A copy of row scaled by the common denominator of its entries."""
     dens = [x.denominator for x in row.values() if x.__class__ is not int]
@@ -462,10 +475,7 @@ def ad_rows(op: RatMatrix, rows: Sequence[Row]) -> list[Row]:
     if op.cols != n:
         raise ValueError("ad_rows needs a square matrix")
     entries = op.entries
-    by_col: list[list[tuple[int, Entry]]] = [[] for _ in range(n)]
-    for i, orow in enumerate(entries):
-        for k, a in orow.items():
-            by_col[k].append((i, a))
+    by_col = _column_index(op)
     out = []
     for row in rows:
         acc: Row = {}

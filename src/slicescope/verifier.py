@@ -1,23 +1,26 @@
 """Experimental verification of slice geometry at sampled points.
 
 For a realization, samples a point x = e + (small integer combination of
-the z(f) basis) of the slice and checks, in exact arithmetic: that the
-symplectic pairing on g + z(f) is nondegenerate, that the tangent space
-of the symmetry orbit through x contains its symplectic orthogonal
-(coisotropy), the dimension of that orthogonal, and the stabilizer
-dimension.  A sample, a ``SlicePoint``, stores only its coefficients,
-so it lies on the slice by construction.  Sampling can only support or
-falsify generic-point claims, never prove them: a degenerate sample is
-retried and persistent degeneracy is reported as inconclusive, never as
-success.
+the z(f) basis) of the slice and checks, in exact arithmetic, whether
+the tangent space W of the symmetry orbit through x contains its
+symplectic orthogonal (coisotropy), with the dimension of that
+orthogonal and the stabilizer dimension.  A sample, a ``SlicePoint``,
+stores only its coefficients, so it lies on the slice by construction.
+Sampling can only support or falsify generic-point claims, never prove
+them.
+
+The symplectic form on g + z(f) is nondegenerate at every point of a
+sound model: G x S_e is a Whittaker reduction of T*G (Gan-Ginzburg,
+IMRN 2002).  Its rank is still computed, and a rank drop raises
+``InconsistentRealization``, as every other failed cross-check of the
+model does.
 
 The stop rule reads the prediction from the verdict the realization
-carries.  A sample is final when omega has full rank and its record
-agrees with every predicted field; otherwise up to ``_MAX_ATTEMPTS``
-seeds are tried and the most generic sample is kept, by omega rank,
-then dim W, then the rank of omega on W.  A special point can only
-lower each of these ranks.  At full omega rank the rank of omega on W
-is dim W - dim(W meet W-perp), at least 2 dim W - ambient, with
+carries.  A sample is final when its record agrees with every
+predicted field; otherwise up to ``_MAX_ATTEMPTS`` seeds are tried and
+the most generic sample is kept, by dim W, then the rank of omega on W.
+A special point can only lower each of these ranks.  The rank of omega
+on W is dim W - dim(W meet W-perp), at least 2 dim W - ambient, with
 equality exactly when W contains W-perp.  So a special sample can make
 W look coisotropic, never the reverse, and the sample kept is the most
 generic one seen, whatever the prediction.
@@ -26,20 +29,16 @@ generic one seen, whatever the prediction.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 from .classifier import predicted_coisotropy
-from .exactlinalg import (Entry, RatMatrix, Row, Subspace, _axpy, _clean, _integer_row,
-                          _rref, ad_rows, trace_form)
-from .realizations import MatrixRealization
+from .exactlinalg import (ColumnIndex, RatMatrix, Row, Subspace, _axpy, _clean,
+                          _column_index, _integer_row, _rref, ad_rows, trace_form)
+from .realizations import InconsistentRealization, MatrixRealization
 
 _BOX = 5          # sample coefficients from [-BOX, BOX]
 _MAX_ATTEMPTS = 3
-
-
-class SliceError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ class SlicePoint:
     def __post_init__(self):
         dz = self.realization.dim_zf
         if len(self.coefficients) != dz:
-            raise SliceError(f"{len(self.coefficients)} coefficients, dim z(f) is {dz}")
+            raise ValueError(f"{len(self.coefficients)} coefficients, dim z(f) is {dz}")
 
     @cached_property
     def x(self) -> RatMatrix:
@@ -77,19 +76,6 @@ class SlicePoint:
 def slice_point(r: MatrixRealization, seed: int) -> SlicePoint:
     rng = random.Random(seed)
     return SlicePoint(r, tuple(rng.randint(-_BOX, _BOX) for _ in r.zf_basis))
-
-
-# Column k -> the (row index, entry) pairs of a matrix's nonzero entries in
-# column k, by increasing row index.
-ColumnIndex = list[list[tuple[int, Entry]]]
-
-
-def _column_index(m: RatMatrix) -> ColumnIndex:
-    index: ColumnIndex = [[] for _ in range(m.cols)]
-    for j, row in enumerate(m.entries):
-        for k, val in row.items():
-            index[k].append((j, val))
-    return index
 
 
 def _antisymmetric_product(rows: list[Row], b_cols: ColumnIndex, size: int) -> list[Row]:
@@ -174,7 +160,7 @@ def orbit_tangent(pt: SlicePoint) -> Subspace:
     for col in pt.rotations:
         c = zf.coords(col)
         if c is None:
-            raise SliceError("q direction leaves z(f): broken realization")
+            raise InconsistentRealization("q direction leaves z(f): broken realization")
         coords.append(c)
     rows = [{i: 1} for i in range(dg)]
     rows += [{dg + t: v for t, v in row.items()} for row in _rref(coords)[0]]
@@ -203,69 +189,64 @@ class CoisotropyReport:
     contained: bool        # W contains its symplectic orthogonal
     dim_intersection: int
     stabilizer_dim: int
-    inconclusive: bool     # omega stayed degenerate over all retries
+    inconclusive: bool     # always False: a degenerate omega raises InconsistentRealization
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def _containment(m: RatMatrix, gram: RatMatrix, omega_rank: int) -> tuple[int, int, bool]:
-    """(dim W-perp, dim of W meet W-perp, W contains W-perp) for W = row space of m.
+def _radical_dim(m: RatMatrix, gram: RatMatrix) -> int:
+    """dim of W meet W-perp, the radical of omega on W, for W = row space of m.
 
-    The rows of m must be independent, gram must be antisymmetric, and
-    omega_rank must be the rank of gram.  Each row of m is first scaled
-    to integers, which changes neither W nor any rank below.  v is
-    omega-orthogonal to W iff m . gram . v = 0, so dim W-perp = ambient
-    - rank(m . gram); when gram is invertible that rank is dim W, and no
-    elimination is needed.  A vector m^T a of W lies in W-perp iff
-    (m . gram . m^T) a = 0, and a -> m^T a is injective, so W meet
-    W-perp, the radical of omega on W, has dimension dim W - rank(m .
-    gram . m^T).  That restricted form is antisymmetric, so it is formed
-    from its entries (i, j) with j > i alone (``_antisymmetric_product``).
-    W contains W-perp iff the intersection is all of W-perp.
+    The rows of m must be independent and gram must be antisymmetric.
+    Each row of m is first scaled to integers, which changes neither W
+    nor the rank below.  A vector m^T a of W lies in W-perp iff (m .
+    gram . m^T) a = 0, and a -> m^T a is injective, so the radical has
+    dimension dim W - rank(m . gram . m^T).  That restricted form is
+    antisymmetric, so it is formed from its entries (i, j) with j > i
+    alone (``_antisymmetric_product``).
     """
-    ambient = gram.rows
     m = RatMatrix.from_rows([_integer_row(row) for row in m.entries], m.cols)
-    mg = m @ gram
-    dim_perp = ambient - (m.rows if omega_rank == ambient else mg.rank())
-    restricted = _antisymmetric_product(mg.entries, _column_index(m), m.rows)
-    intersection = m.rows - RatMatrix.from_rows(restricted, m.rows).rank()
-    return dim_perp, intersection, intersection == dim_perp
+    restricted = _antisymmetric_product((m @ gram).entries, _column_index(m), m.rows)
+    return m.rows - RatMatrix.from_rows(restricted, m.rows).rank()
 
 
 def _check_at(r: MatrixRealization, seed: int) -> CoisotropyReport:
     """Coisotropy report at one sampled point.
 
     omega is nondegenerate on G x S_e, a Whittaker reduction of T*G
-    (Gan-Ginzburg, IMRN 2002), but its rank is still computed, as a check
-    on the model: a degenerate sample makes the report inconclusive.  At
-    full rank dim W-perp = ambient - dim W, and containment is decided
-    from the rank of omega restricted to W (see ``_containment``), not
-    from a basis of W-perp.
+    (Gan-Ginzburg, IMRN 2002), so its rank is computed only as a check
+    on the model: a rank drop is a broken realization.  Hence dim W-perp
+    = ambient - dim W, and containment is decided from the radical of
+    omega on W (see ``_radical_dim``), not from a basis of W-perp: W
+    contains W-perp iff the radical is all of W-perp.
     """
     pt = slice_point(r, seed)
     gram = omega_gram(pt)
-    omega_rank = gram.rank()
+    ambient, omega_rank = gram.rows, gram.rank()
+    if omega_rank < ambient:
+        raise InconsistentRealization(f"omega has rank {omega_rank} < dim_ambient {ambient}: "
+                                      "broken realization")
     w = orbit_tangent(pt)
     # W's basis is the unit rows of g, then the rotation directions.  In
     # reverse, the restricted form's first columns are the rotation ones,
     # which vanish on the rotation rows (omega pairs no two z(f) vectors),
     # and elimination pivots on them first: it fills in far less.
-    m = RatMatrix.from_rows(w.rows[::-1], w.ambient_dim)
-    dim_perp, intersection, contained = _containment(m, gram, omega_rank)
+    intersection = _radical_dim(RatMatrix.from_rows(w.rows[::-1], w.ambient_dim), gram)
     stabilizer = stabilizer_dim(pt)
     # W = g + [q, x], and c -> [c, x] on q has kernel the stabilizer, so two
     # eliminations must agree: dim W = dim g + dim q - dim stabilizer.
     if w.dim != r.dim_g + r.dim_q - stabilizer:
-        raise SliceError(f"dim W = {w.dim}, but dim g + dim q - stabilizer = "
-                         f"{r.dim_g} + {r.dim_q} - {stabilizer}: broken realization")
+        raise InconsistentRealization(f"dim W = {w.dim}, but dim g + dim q - stabilizer = "
+                                      f"{r.dim_g} + {r.dim_q} - {stabilizer}: broken realization")
+    dim_perp = ambient - w.dim
     return CoisotropyReport(
         case=r.label, seed=seed,
-        dim_ambient=gram.rows,
+        dim_ambient=ambient,
         omega_rank=omega_rank,
         dim_W=w.dim,
         dim_W_perp=dim_perp,
-        contained=contained,
+        contained=intersection == dim_perp,
         dim_intersection=intersection,
         stabilizer_dim=stabilizer,
         inconclusive=False,
@@ -278,34 +259,31 @@ def disagreements(rep: CoisotropyReport, predicted: dict[str, object]) -> list[s
             for key, value in predicted.items() if getattr(rep, key) != value]
 
 
-def _genericity(rep: CoisotropyReport) -> tuple[int, int, int]:
-    """(omega rank, dim W, rank of omega on W): a special sample can only lower each."""
-    return rep.omega_rank, rep.dim_W, rep.dim_W - rep.dim_intersection
+def _genericity(rep: CoisotropyReport) -> tuple[int, int]:
+    """(dim W, rank of omega on W): a special sample can only lower each."""
+    return rep.dim_W, rep.dim_W - rep.dim_intersection
 
 
 def coisotropy_check(r: MatrixRealization, seed: int) -> CoisotropyReport:
     """Coisotropy report at a sampled generic point, with retries.
 
     The prediction is ``predicted_coisotropy`` of the realization's
-    verdict.  A sample with full omega rank whose record agrees with
-    every predicted field is final.  Otherwise up to three seeds, seed,
-    seed + 1, ..., are tried, and the first sample of the largest
-    (omega rank, dim W, dim W - dim(W meet W-perp)) is kept.  A special
-    point can only lower a rank, and at full omega rank the last one is
-    the rank of omega on W, at least 2 dim W - ambient with equality
-    exactly when W contains W-perp: a special sample can only make W
-    look coisotropic, so the kept sample is the most generic one seen,
-    whether or not it agrees.  If the symplectic form never reaches
-    full rank the report is flagged inconclusive.
+    verdict.  A sample whose record agrees with every predicted field is
+    final.  Otherwise up to three seeds, seed, seed + 1, ..., are tried,
+    and the first sample of the largest (dim W, dim W - dim(W meet
+    W-perp)) is kept.  A special point can only lower a rank, and the
+    last one is the rank of omega on W, at least 2 dim W - ambient with
+    equality exactly when W contains W-perp: a special sample can only
+    make W look coisotropic, so the kept sample is the most generic one
+    seen, whether or not it agrees.  A broken model, a degenerate omega
+    among its faults, raises ``InconsistentRealization``.
     """
     predicted = predicted_coisotropy(r.verdict)
     best = _check_at(r, seed)
     for attempt in range(1, _MAX_ATTEMPTS):
-        if best.omega_rank == best.dim_ambient and not disagreements(best, predicted):
+        if not disagreements(best, predicted):
             break
         rep = _check_at(r, seed + attempt)
         if _genericity(rep) > _genericity(best):
             best = rep
-    if best.omega_rank < best.dim_ambient:
-        best = replace(best, inconclusive=True)
     return best

@@ -7,7 +7,7 @@ from slicescope.classifier import (EXPECTED_EXCEPTIONS, NON_HOOK_CASES, Status,
                                    necessary_bound, reduced_inequality,
                                    sweep_inequality_proof)
 from slicescope.liealg import AlgebraFamily, gl, orbit_datum, so, sp
-from slicescope.partitions import Partition, valid_jordan_types
+from slicescope.partitions import Partition, hook_parameters, valid_jordan_types
 
 
 def _dual(fam, parts):
@@ -124,6 +124,33 @@ def test_non_hook_case_images_share_the_slice_numbers():
     assert checked == 7
 
 
+def _slice_numbers(family, p):
+    """(slice dim, one less on a gl side, dim Q_eff, rank Q_eff) of a type."""
+    o = orbit_datum(family, p)
+    q = o.effective_centralizer
+    return o.slice_dim - (family.kind == "GL"), q.dim, q.rank
+
+
+def test_non_hook_case_images_are_the_only_matching_hooks():
+    # The slice numbers alone pick each image out among the hooks of its
+    # partner algebra; among all valid types only the triality source,
+    # which lives in the same so(8), matches as well.
+    partners = set()
+    for (kind, parts), case in NON_HOOK_CASES.items():
+        if case.image is None:
+            continue
+        fam, image = case.image
+        source_family, source = AlgebraFamily(kind, sum(parts)), Partition(parts)
+        numbers = _slice_numbers(source_family, source)
+        matches = {p for p in valid_jordan_types(fam.kind, fam.size)
+                   if _slice_numbers(fam, p) == numbers}
+        assert {p for p in matches if hook_parameters(p)} == {image}, (kind, parts)
+        assert matches == {image} | ({source} if fam == source_family else set()), (kind, parts)
+        partners.add(frozenset({source_family, fam}))
+    assert partners == {frozenset({gl(4), so(6)}), frozenset({sp(4), so(5)}),
+                        frozenset({so(8)})}
+
+
 @pytest.mark.parametrize("kind", ["GL", "Sp", "SO"])
 def test_sweep_matches_expected(kind):
     report = sweep_inequality_proof(kind, 12)
@@ -137,6 +164,9 @@ def test_sweep_caps_n_max():
     for n_max in (31, 0, -3):
         with pytest.raises(ValueError):
             sweep_inequality_proof("GL", n_max)
+    # sp has no type of odd size, so n <= 1 holds nothing to check
+    with pytest.raises(ValueError, match="no valid Sp Jordan type with n <= 1"):
+        sweep_inequality_proof("Sp", 1)
 
 
 def test_enumerate_is_deterministic_and_ordered():

@@ -148,21 +148,20 @@ def test_verify_disagreement_exits_1(capsys, monkeypatch):
     assert "contained False, predicted True" in err
 
 
-def test_verify_inconclusive_exits_1_with_a_reason(capsys, monkeypatch):
-    real = verifier.coisotropy_check
+def test_verify_degenerate_omega_exits_1(capsys, monkeypatch):
+    # The slice form is nondegenerate on a sound model, so a rank drop is a
+    # broken realization: an error line and no record, like the model's other faults.
+    real = verifier.omega_gram
 
-    def degenerate(r, seed):
-        rep = real(r, seed)
-        return dataclasses.replace(rep, omega_rank=rep.dim_ambient - 2, inconclusive=True)
+    def degenerate(pt):
+        gram = real(pt)
+        last = gram.rows - 1
+        rows = [{j: v for j, v in row.items() if j != last} for row in gram.entries[:last]]
+        return exactlinalg.RatMatrix.from_rows(rows + [{}], gram.cols)
 
-    monkeypatch.setattr(verifier, "coisotropy_check", degenerate)
-    code, out, err = run(capsys, "verify", "--case", "sp6-33")
-    assert code == 1
-    rec = json.loads(out)
-    assert rec["inconclusive"] is True and rec["omega_rank"] == 26
-    assert err.count("\n") == 1
-    assert err.startswith("verify: sp6-33 is inconclusive: ")
-    assert "rank 26" in err and "dim_ambient 28" in err
+    monkeypatch.setattr(verifier, "omega_gram", degenerate)
+    assert run(capsys, "verify", "--case", "sp6-33") == (
+        1, "", "error: omega has rank 26 < dim_ambient 28: broken realization\n")
 
 
 @pytest.mark.parametrize("case", ["gl6-1.1.1.1.1.1", "so4-2.2", "gl6-hook2"])
@@ -512,9 +511,9 @@ def test_usage_errors_exit_2(capsys):
     for argv in (["--family", "gl", "--rank", "70"], ["--family", "so", "--size", "41"]):
         code, out, err = run(capsys, "classify", *argv)
         assert code == 2 and "usage error" in err and "size 40" in err and not out
-    for n_max in ("0", "-3"):
-        code, out, err = run(capsys, "sweep", "--family", "gl", "--n-max", n_max)
-        assert code == 2 and "usage error" in err and not out
+    for family, n_max in (("gl", "0"), ("gl", "-3"), ("sp", "1")):
+        code, out, err = run(capsys, "sweep", "--family", family, "--n-max", n_max)
+        assert code == 2 and "usage error" in err and not out, (family, n_max)
     # --size / --rank must name the algebra of the partition
     for argv in (["--family", "so", "--size", "7", "--partition", "3,3"],
                  ["--family", "gl", "--rank", "9", "--partition", "2,1"]):

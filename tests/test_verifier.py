@@ -5,12 +5,13 @@ from pathlib import Path
 import pytest
 
 from slicescope.classifier import classify, predicted_coisotropy
-from slicescope.exactlinalg import RatMatrix, Subspace, bracket, kernel, trace_form
+from slicescope.exactlinalg import (RatMatrix, Subspace, _column_index, bracket, kernel,
+                                    trace_form)
 from slicescope.liealg import AlgebraFamily, gl, orbit_datum
 from slicescope.realizations import build_case, classical_triple
-from slicescope.verifier import (SliceError, SlicePoint, _antisymmetric_product, _column_index,
-                                 _containment, coisotropy_check, omega_gram, orbit_tangent,
-                                 slice_point, stabilizer_dim)
+from slicescope.verifier import (SlicePoint, _antisymmetric_product, _check_at, _radical_dim,
+                                 coisotropy_check, omega_gram, orbit_tangent, slice_point,
+                                 stabilizer_dim)
 from slicescope.partitions import Partition, valid_jordan_types
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -65,7 +66,7 @@ def test_omega_gram_rejects_offslice_points():
     r = build_case("gl4-hook1")
     assert r.dim_zf == 6
     for coeffs in ((), (1,) * 5, (1,) * 7):
-        with pytest.raises(SliceError):
+        with pytest.raises(ValueError, match=f"^{len(coeffs)} coefficients, dim z\\(f\\) is 6$"):
             SlicePoint(r, coeffs)
     assert SlicePoint(r, (0,) * 6).x == r.e
 
@@ -77,6 +78,25 @@ def test_regular_orbit_rank_at_e():
     gram = omega_gram(SlicePoint(r, (0,) * r.dim_zf))
     assert gram.rows == 6
     assert gram.rank() == 6
+
+
+def test_omega_has_full_rank_at_e_and_along_each_zf_direction():
+    # G x S_e is a Whittaker reduction of T*G, so omega is nondegenerate at
+    # every point of a sound model: at x = e, e + z_i and e - 5 z_i here.
+    checked = 0
+    for kind in ("GL", "Sp", "SO"):
+        for n in range(1, 9):
+            for p in valid_jordan_types(kind, n):
+                r = classical_triple(AlgebraFamily(kind, n), p)
+                dz = r.dim_zf
+                points = [(0,) * dz]
+                points += [tuple(c * (i == j) for j in range(dz)) for i in range(dz)
+                           for c in (1, -5)]
+                for coeffs in points:
+                    gram = omega_gram(SlicePoint(r, coeffs))
+                    assert gram.rank() == gram.rows, (kind, p, coeffs)
+                checked += 1
+    assert checked == 127
 
 
 def test_orbit_tangent_at_e_is_g_only():
@@ -186,14 +206,13 @@ def samples():
 
 
 def test_rank_shortcuts_match_the_kernels(samples):
-    """Containment and the stabilizer from ranks equal their kernel-basis values."""
+    """W-perp, its meet with W and the stabilizer from ranks equal their kernel-basis values."""
     for r, seed in samples:
         pt = slice_point(r, seed)
-        gram = omega_gram(pt)
-        w = orbit_tangent(pt)
-        got = _containment(w.matrix(), gram, gram.rank())
-        assert got == _kernel_containment(w, gram), (r.label, seed)
-        assert stabilizer_dim(pt) == _kernel_stabilizer(r, pt.x), (r.label, seed)
+        rep = _check_at(r, seed)
+        got = (rep.dim_W_perp, rep.dim_intersection, rep.contained)
+        assert got == _kernel_containment(orbit_tangent(pt), omega_gram(pt)), (r.label, seed)
+        assert rep.stabilizer_dim == _kernel_stabilizer(r, pt.x), (r.label, seed)
 
 
 def test_slice_point_is_e_plus_the_combination(samples):
@@ -235,8 +254,8 @@ def test_orbit_tangent_spans_all_generators(samples):
 
 
 def test_containment_on_degenerate_forms():
-    # Congruent images of antisymmetric forms with a zero block, so the
-    # rank of m . gram has to be computed.
+    # Congruent images of antisymmetric forms with a zero block: the radical
+    # of a form on W and the restricted form ask only for antisymmetry.
     rng = random.Random(0)
     checked = 0
     while checked < 60:
@@ -254,7 +273,7 @@ def test_containment_on_degenerate_forms():
         assert gram.rank() < k
         w = Subspace.span(k, [[rng.randint(-1, 1) for _ in range(k)]
                               for _ in range(rng.randint(0, k))])
-        assert _containment(w.matrix(), gram, gram.rank()) == _kernel_containment(w, gram)
+        assert _radical_dim(w.matrix(), gram) == _kernel_containment(w, gram)[1]
         m = w.matrix()
         assert _restricted_form(m, gram) == (m @ gram) @ m.transpose()
         checked += 1
