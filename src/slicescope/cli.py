@@ -7,7 +7,8 @@ confirmation of the classification inequalities).  Output is TSV or JSON
 lines, and classify and check also offer a human-readable pretty format;
 identical invocations produce byte-identical output.  check, dual and
 verify size the algebra from --partition when neither --size nor --rank
-is given.
+is given.  Commands raise on failure and main maps each exception to an
+exit code: 1 for a failed certificate, 2 for bad input.
 """
 
 from __future__ import annotations
@@ -21,15 +22,11 @@ from operator import itemgetter
 from . import classifier, datasets, liealg, realizations, superdual, verifier
 from .classifier import HYPERSPHERICAL_STATUSES, Status, Verdict
 from .liealg import AlgebraFamily
-from .partitions import Partition, parse_partition
+from .partitions import parse_partition
 
 _COLUMNS = ["family", "rank", "jordan_type", "dual", "slice_dim", "q_factors",
             "lhs", "rhs", "slack", "status", "sdual"]
 _column_values = itemgetter(*_COLUMNS)
-
-
-class UsageError(ValueError):
-    pass
 
 
 def _family_from_args(args, n_from_partition: int | None = None) -> AlgebraFamily:
@@ -44,19 +41,15 @@ def _family_from_args(args, n_from_partition: int | None = None) -> AlgebraFamil
         elif kind == "sp":
             size = 2 * rank
         else:
-            raise UsageError("for the so family pass --size (matrix size), "
+            raise ValueError("for the so family pass --size (matrix size), "
                              "since a rank names two algebras")
     if size is None:
-        raise UsageError("no rank/size given")
+        raise ValueError("no rank/size given")
     if size < 1:
-        raise UsageError(f"invalid size {size}")
-    maker = {"gl": liealg.gl, "sp": liealg.sp, "so": liealg.so}[kind]
-    try:
-        family = maker(size)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        raise ValueError(f"invalid size {size}")
+    family = {"gl": liealg.gl, "sp": liealg.sp, "so": liealg.so}[kind](size)
     if rank is not None and rank != family.rank:
-        raise UsageError(f"--rank {rank} conflicts with {family} (rank {family.rank})")
+        raise ValueError(f"--rank {rank} conflicts with {family} (rank {family.rank})")
     return family
 
 
@@ -80,22 +73,6 @@ def _verdict_record(v: Verdict) -> dict:
     }
 
 
-def _emit_records(records: list[dict], fmt: str, out) -> None:
-    if fmt == "tsv":
-        out.write("\t".join(_COLUMNS) + "\n")
-        for rec in records:
-            out.write("\t".join(map(str, _column_values(rec))) + "\n")
-    elif fmt == "json":
-        for rec in records:
-            out.write(json.dumps(rec, sort_keys=True) + "\n")
-    else:
-        for rec in records:
-            out.write(f"{rec['family']}  {rec['jordan_type']}  -> {rec['status']}\n")
-            out.write(f"    slice dim {rec['slice_dim']}, Q = {rec['q_factors']}, "
-                      f"bound {rec['lhs']} vs {rec['rhs']} (slack {rec['slack']})\n")
-            out.write(f"    S-dual: {rec['sdual']}\n")
-
-
 def _pretty_identity(v: Verdict, out) -> None:
     """Teaching line: lhs - dim(G x Q) = rank sum, for equality cases."""
     if v.bound.slack != 0:
@@ -107,54 +84,48 @@ def _pretty_identity(v: Verdict, out) -> None:
     out.write(f"    identity: {left} - {mid} = {left - mid} = {g.rank} + {q.rank}\n")
 
 
-def cmd_classify(args, out) -> int:
-    family = _family_from_args(args)
-    try:
-        verdicts = classifier.enumerate_and_classify(family)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+def _emit_records(verdicts: list[Verdict], fmt: str, out,
+                  identity_statuses=frozenset(Status)) -> None:
+    """One record per verdict.  In pretty format a verdict whose status is
+    in identity_statuses is followed by its identity line, if it has one."""
     records = [_verdict_record(v) for v in verdicts]
-    _emit_records(records, args.format, out)
-    if args.format == "pretty":
-        for v in verdicts:
-            if v.status in (Status.HYPERSPHERICAL_HOOK, Status.HYPERSPHERICAL_SPECIAL):
+    if fmt == "tsv":
+        out.write("\t".join(_COLUMNS) + "\n")
+        for rec in records:
+            out.write("\t".join(map(str, _column_values(rec))) + "\n")
+    elif fmt == "json":
+        for rec in records:
+            out.write(json.dumps(rec, sort_keys=True) + "\n")
+    else:
+        for v, rec in zip(verdicts, records):
+            out.write(f"{rec['family']}  {rec['jordan_type']}  -> {rec['status']}\n")
+            out.write(f"    slice dim {rec['slice_dim']}, Q = {rec['q_factors']}, "
+                      f"bound {rec['lhs']} vs {rec['rhs']} (slack {rec['slack']})\n")
+            out.write(f"    S-dual: {rec['sdual']}\n")
+            if v.status in identity_statuses:
                 _pretty_identity(v, out)
+
+
+def cmd_classify(args, out) -> int:
+    verdicts = classifier.enumerate_and_classify(_family_from_args(args))
+    _emit_records(verdicts, args.format, out,
+                  {Status.HYPERSPHERICAL_HOOK, Status.HYPERSPHERICAL_SPECIAL})
     return 0
 
 
-def _partition(args) -> Partition:
-    """The --partition argument; a malformed one is bad input."""
-    try:
-        return parse_partition(args.partition)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
 def _orbit(args) -> liealg.OrbitDatum:
-    """The orbit named by --family/--partition; a type that does not fit is bad input."""
-    p = _partition(args)
-    family = _family_from_args(args, n_from_partition=p.n)
-    try:
-        return liealg.orbit_datum(family, p)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    """The orbit named by --family/--partition."""
+    p = parse_partition(args.partition)
+    return liealg.orbit_datum(_family_from_args(args, n_from_partition=p.n), p)
 
 
 def cmd_check(args, out) -> int:
-    v = classifier.classify(_orbit(args))
-    _emit_records([_verdict_record(v)], args.format, out)
-    if args.format == "pretty":
-        _pretty_identity(v, out)
+    _emit_records([classifier.classify(_orbit(args))], args.format, out)
     return 0
 
 
 def cmd_dual(args, out) -> int:
-    v = classifier.classify(_orbit(args))
-    try:
-        dual = superdual.s_dual(v)
-    except superdual.NoDualError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    dual = superdual.s_dual(classifier.classify(_orbit(args)))
     out.write(f"{dual} [{dual.provenance}]\n")
     return 0
 
@@ -164,26 +135,20 @@ def _realization(args) -> realizations.MatrixRealization:
     if args.case:
         given = (args.family, args.partition, args.size, args.rank)
         if any(x is not None for x in given):
-            raise UsageError("--case takes no --family, --partition, --size or --rank")
+            raise ValueError("--case takes no --family, --partition, --size or --rank")
         return realizations.build_case(args.case)
     if not args.partition:
-        raise UsageError("verify needs --case or --family/--partition")
+        raise ValueError("verify needs --case or --family/--partition")
     if not args.family:
-        raise UsageError("--partition needs --family")
-    p = _partition(args)
+        raise ValueError("--partition needs --family")
+    p = parse_partition(args.partition)
     family = _family_from_args(args, n_from_partition=p.n)
     return realizations.classical_triple(family, p)
 
 
 def cmd_verify(args, out) -> int:
-    try:
-        r = _realization(args)
-        rep = verifier.coisotropy_check(r, args.seed)
-    except realizations.InconsistentRealization as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except realizations.RealizationError as exc:
-        raise UsageError(str(exc))
+    r = _realization(args)
+    rep = verifier.coisotropy_check(r, args.seed)
     out.write(json.dumps(rep.to_dict(), sort_keys=True) + "\n")
     wrong = verifier.disagreements(rep, classifier.predicted_coisotropy(r.verdict))
     if wrong:
@@ -196,10 +161,10 @@ def cmd_verify(args, out) -> int:
 def cmd_scan(args, out) -> int:
     if args.data:
         if not args.algebra:
-            raise UsageError("--data needs --algebra (G2|F4|E6|E7|E8)")
+            raise ValueError("--data needs --algebra (G2|F4|E6|E7|E8)")
         table = datasets.load_table(args.data, liealg.exceptional(args.algebra))
     elif args.algebra not in (None, "G2"):
-        raise UsageError(f"--algebra {args.algebra} needs --data "
+        raise ValueError(f"--algebra {args.algebra} needs --data "
                          "(only the G2 table is built in)")
     else:
         table = datasets.builtin_g2()
@@ -224,10 +189,7 @@ def cmd_scan(args, out) -> int:
 
 def cmd_sweep(args, out) -> int:
     kind = {"gl": "GL", "sp": "Sp", "so": "SO"}[args.family]
-    try:
-        report = classifier.sweep_inequality_proof(kind, args.n_max)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    report = classifier.sweep_inequality_proof(kind, args.n_max)
     names = sorted("(" + ",".join(map(str, t)) + ")"
                    for t in report.exceptions_beyond_hooks)
     out.write(f"family {args.family}, n_max {report.n_max}: "
@@ -304,13 +266,19 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and map its failure, most specific first, to an
+    exit code: a model fault or a missing S-dual is 1, any other
+    ValueError is bad input and an unreadable file is 2."""
     args = _parser().parse_args(argv)
     try:
         return args.fn(args, sys.stdout)
-    except UsageError as exc:
+    except (realizations.InconsistentRealization, superdual.NoDualError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

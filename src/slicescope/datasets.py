@@ -79,8 +79,14 @@ class ExceptionalOrbitTable:
             if row.orbit_dim < prev:
                 raise TableError(f"{where}: rows must be sorted by orbit dimension")
             prev = row.orbit_dim
-            if row.orbit_dim == g.dim - g.rank and row.centralizer.dim != 0:
+            q = row.centralizer
+            if row.orbit_dim == g.dim - g.rank and q.dim != 0:
                 raise TableError(f"{where}: regular orbit needs a trivial centralizer")
+            if q.dim > g.dim - row.orbit_dim or q.rank > g.rank:
+                raise TableError(f"{where}: centralizer {q} does not fit in "
+                                 f"the centralizer of e in {g}")
+            if row.orbit_dim == 0 and (q.dim, q.rank) != (g.dim, g.rank):
+                raise TableError(f"{where}: zero orbit needs all of {g} as its centralizer")
 
 
 def _parse_rows(lines, algebra: AlgebraFamily, source: str) -> ExceptionalOrbitTable:

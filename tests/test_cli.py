@@ -65,6 +65,17 @@ def test_check_pretty_identity_line(capsys):
     assert "identity: 26 - 22 = 4 = 3 + 1" in out
 
 
+def test_classify_pretty_puts_each_identity_under_its_orbit(capsys):
+    code, out, _ = run(capsys, "classify", "--family", "gl", "--rank", "4",
+                       "--format", "pretty")
+    lines = out.splitlines()
+    identities = [(lines[i - 3], line) for i, line in enumerate(lines) if "identity:" in line]
+    assert code == 0 and identities == [
+        ("GL(4)  (3,1)  -> HypersphericalHook", "    identity: 22 - 17 = 5 = 4 + 1"),
+        ("GL(4)  (2,1,1)  -> HypersphericalHook", "    identity: 26 - 20 = 6 = 4 + 2"),
+    ]
+
+
 def test_check_sp6_33(capsys):
     code, out, _ = run(capsys, "check", "--family", "sp", "--rank", "3",
                        "--partition", "3,3", "--format", "json")
@@ -431,7 +442,7 @@ def _classify_commands() -> list[list[str]]:
 # stderr, for each of _classify_commands() in order.  It pins the bytes
 # of the combinatorial path beyond the benchmark's TSV digests: the json
 # and pretty formats, the pretty identity lines, check and dual.
-CLASSIFY_DIGEST = "fc80320da953b1ebfb68a6694da26016179b654002fc0024636629ddad745ae7"
+CLASSIFY_DIGEST = "3111b33d5494a35284b11b96741200effce8a6522ae40bc5ea8765f9af5efef8"
 
 
 def test_classify_output_matches_the_recorded_digest(capsys):
@@ -543,6 +554,40 @@ def test_usage_errors_keep_their_order(capsys):
     for command in ("check", "dual", "verify"):
         for argv, message in cases:
             assert run(capsys, command, *argv) == (2, "", message), (command, argv)
+
+
+def test_main_maps_each_failure_to_one_line_and_an_exit_code(capsys, monkeypatch, tmp_path):
+    """A failed certificate exits 1 with an error line; bad input exits 2,
+    with an error line for a file that cannot be read and a usage error
+    line for anything else, a malformed or mismatched table included."""
+    missing, malformed = tmp_path / "missing.tsv", tmp_path / "malformed.tsv"
+    malformed.write_text("label\tdim\n0\t0\n", encoding="utf-8")
+    g2 = str(Path(slicescope.__file__).parent / "data" / "g2.tsv")
+    cases = (
+        (["scan", "--data", str(missing), "--algebra", "F4"], 2,
+         f"error: [Errno 2] No such file or directory: '{missing}'"),
+        (["scan", "--data", str(malformed), "--algebra", "G2"], 2,
+         f"usage error: {malformed}:2: expected at least 3 columns"),
+        (["scan", "--data", g2, "--algebra", "E8"], 2,
+         f"usage error: {g2}: row 1 (0): zero orbit needs all of E8 as its centralizer"),
+        (["check", "--family", "gl", "--partition", "2,x"], 2,
+         "usage error: bad partition token: 'x'"),
+        (["classify", "--family", "gl", "--rank", "41"], 2,
+         "usage error: enumeration is capped at matrix size 40, GL(41) has size 41"),
+        (["dual", "--family", "gl", "--partition", "3,2"], 1,
+         "error: (3,2) in GL(5) is not hyperspherical; it has no S-dual"),
+    )
+    for argv, code, line in cases:
+        assert run(capsys, *argv) == (code, "", line + "\n"), argv
+    real = realizations._sl2_on_jordan_block
+
+    def broken(m):
+        e, f, h = real(m)
+        return e, f, h.scale(2)
+
+    monkeypatch.setattr(realizations, "_sl2_on_jordan_block", broken)
+    assert run(capsys, "verify", "--family", "sp", "--partition", "2,2") == \
+        (1, "", "error: sp4-2.2: triple relations fail\n")
 
 
 def test_oversized_partitions_are_refused_before_expansion(capsys):

@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+from slicescope import datasets
 from slicescope.datasets import (ExceptionalOrbitTable, OrbitRow, TableError,
                                  builtin_g2, load_table, parse_centralizer)
 from slicescope.liealg import exceptional
@@ -94,3 +97,20 @@ def test_load_table_errors(tmp_path):
     odd_sp.write_text("label\tdim\tcentralizer\n0\t0\tG2\nx\t6\tSp3\n", encoding="utf-8")
     with pytest.raises(TableError, match=r"odd_sp.tsv:3: bad centralizer factor 'Sp3'"):
         load_table(odd_sp, exceptional("G2"))
+
+
+def test_table_refuses_centralizers_of_another_algebra():
+    # The reductive centralizer lies in Z_G(e), of dim dim g - orbit dim and
+    # rank at most rk g; at the zero orbit it is all of g.
+    zero = OrbitRow("0", 0, parse_centralizer("G2"))
+    for row in (OrbitRow("x", 10, parse_centralizer("A2")),    # dim 8 > 14 - 10
+                OrbitRow("x", 6, parse_centralizer("T3"))):    # rank 3 > 2
+        with pytest.raises(TableError, match=r"^row 2 \(x\): centralizer .* does not fit "
+                                             r"in the centralizer of e in G2$"):
+            _table([zero, row])
+    for q in ("A2", "A1+A1"):
+        with pytest.raises(TableError, match=r"^row 1 \(0\): zero orbit needs all of G2 "
+                                             r"as its centralizer$"):
+            _table([OrbitRow("0", 0, parse_centralizer(q))])
+    with pytest.raises(TableError, match=r"g2.tsv: row 1 \(0\): zero orbit needs all of E8"):
+        load_table(Path(datasets.__file__).parent / "data" / "g2.tsv", exceptional("E8"))

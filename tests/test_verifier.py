@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from slicescope.classifier import classify, predicted_coisotropy
+from slicescope.classifier import NON_HOOK_CASES, classify, predicted_coisotropy
 from slicescope.exactlinalg import (RatMatrix, Subspace, _column_index, bracket, kernel,
                                     trace_form)
 from slicescope.liealg import AlgebraFamily, gl, orbit_datum
@@ -164,6 +164,31 @@ def test_every_small_type_agrees_with_the_classifier():
                 assert got == predicted, (kind, p)
                 checked += 1
     assert checked == 127
+
+
+def test_non_hook_case_images_match_their_sources_in_a_model():
+    # A type hyperspherical via an isomorphism has the geometry of its image:
+    # the same containment and stabilizer, and the same dimensions up to the
+    # centre of gl, which adds one to g and to z(f), so two to the ambient
+    # space and one to W, W-perp and their intersection.
+    dims = ("dim_ambient", "dim_W", "dim_W_perp", "dim_intersection")
+    pairs = 0
+    for (kind, parts), case in NON_HOOK_CASES.items():
+        if case.image is None:
+            continue
+        fam, image = case.image
+        source = classical_triple(AlgebraFamily(kind, sum(parts)), Partition(parts))
+        target = classical_triple(fam, image)
+        shift = (kind == "GL") - (fam.kind == "GL")
+        for seed in (0, 1):
+            a = coisotropy_check(source, seed).to_dict()
+            b = coisotropy_check(target, seed).to_dict()
+            assert (a["contained"], a["stabilizer_dim"]) == \
+                (b["contained"], b["stabilizer_dim"]), (kind, parts, seed)
+            assert [a[k] - b[k] for k in dims] == [2 * shift, shift, shift, shift], \
+                (kind, parts, seed)
+        pairs += 1
+    assert pairs == 7
 
 
 def test_report_serializes():
