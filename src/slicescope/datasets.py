@@ -119,10 +119,22 @@ def _parse_rows(lines, algebra: AlgebraFamily, source: str) -> ExceptionalOrbitT
         raise TableError(f"{source}: {exc}") from None
 
 
+def _decoded_lines(data: bytes, source: str):
+    """The lines of a UTF-8 file, each decoded alone, so a bad byte is named by line.
+
+    ``bytes.splitlines`` splits where text-mode reading does: at \\n, \\r
+    and \\r\\n.
+    """
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TableError(f"{source}:{lineno}: not UTF-8: {exc}") from None
+
+
 def load_table(path: str | Path, algebra: AlgebraFamily) -> ExceptionalOrbitTable:
     path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        return _parse_rows(fh, algebra, str(path))
+    return _parse_rows(_decoded_lines(path.read_bytes(), str(path)), algebra, str(path))
 
 
 def builtin_g2() -> ExceptionalOrbitTable:

@@ -329,6 +329,49 @@ def rank_of_vectors(vecs: Sequence[Sequence]) -> int:
     return len(_echelon(_sparse(v) for v in vecs))
 
 
+_P = (1 << 61) - 1    # a Mersenne prime
+
+
+def rank_mod_p(rows: Iterable[Row]) -> int:
+    """Rank mod p = 2^61 - 1 of sparse rows, each first scaled to integers.
+
+    An independent check on an exact rank, never a replacement: a rank
+    mod p is at most the rank r over Q, and falls short only when p
+    divides every r x r minor.  The elimination is
+    ``_echelon``'s, sparsest rows first and leftmost pivot, on residues:
+    each pivot row is scaled to 1 at its pivot, so clearing needs no
+    content division.
+    """
+    reduced: dict[int, Row] = {}
+    for row in sorted(rows, key=len):
+        v = {j: x for j, x in ((j, x % _P) for j, x in _integer_row(row).items()) if x}
+        for p in [c for c in v if c in reduced]:
+            b = v[p]
+            for j, x in reduced[p].items():
+                y = (v.get(j, 0) - b * x) % _P
+                if y:
+                    v[j] = y
+                else:
+                    del v[j]
+        if not v:
+            continue
+        c = min(v)
+        if v[c] != 1:
+            inv = pow(v[c], -1, _P)
+            v = {j: x * inv % _P for j, x in v.items()}
+        for prow in reduced.values():
+            b = prow.get(c)
+            if b:
+                for j, x in v.items():
+                    y = (prow.get(j, 0) - b * x) % _P
+                    if y:
+                        prow[j] = y
+                    else:
+                        del prow[j]
+        reduced[c] = v
+    return len(reduced)
+
+
 class Subspace:
     """A subspace of Q^ambient_dim, held as an independent basis of sparse rows.
 

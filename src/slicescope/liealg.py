@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 
-from .partitions import Partition
+from .partitions import Partition, _trusted
 
 _EXCEPTIONAL = {  # kind -> (dim, rank)
     "G2": (14, 2),
@@ -244,7 +244,10 @@ def orbit_datum(family: AlgebraFamily, p: Partition) -> OrbitDatum:
     count when v is odd; and it gives the reductive centralizer its factor
     of size m, of the kind _FACTOR_KINDS sets for v's parity.  The type is
     valid exactly when every Sp factor has even size.  The centralizer's
-    dim and rank are summed over the factors as the walk makes them.
+    dim and rank are summed over the factors as the walk makes them.  mu
+    is weakly decreasing and positive by construction, so it is made a
+    Partition unchecked, and the datum is made without the dataclass
+    ``__init__``, as ``_product`` makes a product.
     """
     kind = family.kind
     if kind not in _CLASSICAL:
@@ -272,8 +275,14 @@ def orbit_datum(family: AlgebraFamily, p: Partition) -> OrbitDatum:
         q_rank += factor.rank
         end = start
     s = _slice_dim(kind, mu, odd)
-    return OrbitDatum(family, p, Partition(tuple(mu)), s, family.dim - s,
-                      _product(tuple(factors), False, q_dim, q_rank))
+    o = _new(OrbitDatum)
+    _set(o, "family", family)
+    _set(o, "jordan_type", p)
+    _set(o, "dual", _trusted(tuple(mu)))
+    _set(o, "slice_dim", s)
+    _set(o, "orbit_dim", family.dim - s)
+    _set(o, "centralizer", _product(tuple(factors), False, q_dim, q_rank))
+    return o
 
 
 __all__ = [

@@ -32,11 +32,11 @@ class InconsistentRealization(RealizationError):
 
 
 # Largest matrix size classical_triple builds.  `verify`, whole process on a
-# 2-core x86-64 box with CPython 3.11, two runs each, took 0.3-0.4 / 0.5 /
-# 0.8-1.0 / 1.7-2.1 s for the zero orbit of gl(n) at n = 9 / 10 / 11 / 12,
-# the costliest type of gl(12), and 0.2 / 0.3-0.4 / 0.5-0.6 / 1.2-1.3 s
-# for the minimal orbit (2, 1, ..., 1), the next costliest.  Raise the cap
-# only after timing the costliest type of each new size.
+# 2-core x86-64 box with CPython 3.11, two runs each, took 0.3 / 0.4-0.6 /
+# 0.7-0.9 / 1.2-1.3 s for the zero orbit of gl(n) at n = 9 / 10 / 11 / 12,
+# the costliest type of gl(12), and 0.2 / 0.4-0.5 / 0.7 / 1.0 s for the
+# minimal orbit (2, 1, ..., 1), the next costliest.  Raise the cap only
+# after timing the costliest type of each new size.
 MAX_REALIZATION_SIZE = 12
 
 
@@ -208,7 +208,21 @@ def _direct_sum(blocks: list[RatMatrix]) -> RatMatrix:
 
 
 def _preserves(x: RatMatrix, gram: RatMatrix) -> bool:
-    return (x.transpose() @ gram + gram @ x).is_zero()
+    """Whether x^T M + M x = 0 for M = gram, summed in one pass over x's entries.
+
+    An entry v of x at (k, l) adds v M_kb at (l, b), from x^T M, and
+    M_ak v at (a, l), from M x.
+    """
+    n = x.rows
+    m_rows, m_cols = gram.entries, gram.transpose().entries
+    acc: dict[int, object] = {}
+    for k, row in enumerate(x.entries):
+        for l, v in row.items():
+            for b, y in m_rows[k].items():
+                acc[l * n + b] = acc.get(l * n + b, 0) + v * y
+            for a, y in m_cols[k].items():
+                acc[a * n + l] = acc.get(a * n + l, 0) + y * v
+    return not any(acc.values())
 
 
 def classical_triple(family: AlgebraFamily, p: Partition) -> MatrixRealization:
@@ -272,11 +286,11 @@ def classical_triple(family: AlgebraFamily, p: Partition) -> MatrixRealization:
         raise InconsistentRealization(
             f"{label}: dim z(f) = {len(zf_basis)}, expected {o.slice_dim}")
     q_basis = _ad_kernel_in(zf_basis, e, traceless=family.kind == "GL")
-    for c in q_basis:
-        if not bracket(c, e).is_zero() or not bracket(c, f).is_zero():
-            raise InconsistentRealization(f"{label}: q element fails to centralize e, f")
-        if gram is not None and not _preserves(c, gram):
-            raise InconsistentRealization(f"{label}: q element does not preserve the form")
+    flat_q = [c.flat_row() for c in q_basis]
+    if any(ad_rows(e, flat_q)) or any(ad_rows(f, flat_q)):
+        raise InconsistentRealization(f"{label}: q element fails to centralize e, f")
+    if gram is not None and not all(_preserves(c, gram) for c in q_basis):
+        raise InconsistentRealization(f"{label}: q element does not preserve the form")
     expected_q = o.effective_centralizer.dim
     if len(q_basis) != expected_q:
         raise InconsistentRealization(

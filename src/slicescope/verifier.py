@@ -9,6 +9,12 @@ stores only its coefficients, so it lies on the slice by construction.
 Sampling can only support or falsify generic-point claims, never prove
 them.
 
+The rotations [x, c], c in q, are eliminated once, in z(f)
+coordinates.  That one echelon gives W's basis, the stabilizer (dim q
+minus its rank) and the rotation rows of omega on W, whose g rows come
+from the Gram matrix as it stands.  The rank is cross-checked in
+independent arithmetic, mod a prime, on the rotations as n^2 vectors.
+
 The symplectic form on g + z(f) is nondegenerate at every point of a
 sound model: G x S_e is a Whittaker reduction of T*G (Gan-Ginzburg,
 IMRN 2002).  Its rank is still computed, and a rank drop raises
@@ -33,8 +39,8 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 
 from .classifier import predicted_coisotropy
-from .exactlinalg import (ColumnIndex, RatMatrix, Row, Subspace, _axpy, _clean,
-                          _column_index, _integer_row, _rref, ad_rows, trace_form)
+from .exactlinalg import (ColumnIndex, RatMatrix, Row, Subspace, _axpy, _clean, _echelon,
+                          ad_rows, rank_mod_p, trace_form)
 from .realizations import InconsistentRealization, MatrixRealization
 
 _BOX = 5          # sample coefficients from [-BOX, BOX]
@@ -71,6 +77,25 @@ class SlicePoint:
     def rotations(self) -> list[Row]:
         """The flattened [x, c] for each c in the q basis, in order."""
         return ad_rows(self.x, [c.flat_row() for c in self.realization.q_basis])
+
+    @cached_property
+    def echelon(self) -> list[dict[int, int]]:
+        """The rotations' z(f) coordinates, eliminated once, by increasing pivot.
+
+        These are ``_echelon``'s integer rows, each a multiple of a row of
+        the reduced row echelon form, so they span the rotations' image in
+        z(f) coordinates.  A rotation outside z(f) means a broken
+        realization.
+        """
+        zf = self.realization.zf_subspace()
+        coords = []
+        for col in self.rotations:
+            c = zf.coords(col)
+            if c is None:
+                raise InconsistentRealization("q direction leaves z(f): broken realization")
+            coords.append(c)
+        reduced = _echelon(coords)
+        return [reduced[p] for p in sorted(reduced)]
 
 
 def slice_point(r: MatrixRealization, seed: int) -> SlicePoint:
@@ -147,35 +172,39 @@ def orbit_tangent(pt: SlicePoint) -> Subspace:
 
     In g + z(f) coordinates: all of g (left translations), plus the
     directions [c, x] for c in q (the slice rotations), taken as their
-    negatives [x, c], which span the same space.  Each must land back in
-    z(f); anything else means a broken realization.  The rotations have
-    no g coordinates, so only their z(f) coordinates are eliminated: the
-    basis is the dim g unit rows, then the reduced row echelon form of
-    those coordinates shifted past g.
+    negatives [x, c], which span the same space.  The rotations have no
+    g coordinates, so the basis is the dim g unit rows, then the point's
+    ``echelon`` rows shifted past g.
     """
     r = pt.realization
     dg = r.dim_g
-    zf = r.zf_subspace()
-    coords = []
-    for col in pt.rotations:
-        c = zf.coords(col)
-        if c is None:
-            raise InconsistentRealization("q direction leaves z(f): broken realization")
-        coords.append(c)
     rows = [{i: 1} for i in range(dg)]
-    rows += [{dg + t: v for t, v in row.items()} for row in _rref(coords)[0]]
+    rows += [{dg + t: v for t, v in row.items()} for row in pt.echelon]
     return Subspace(dg + r.dim_zf, rows, check=False)
 
 
 def stabilizer_dim(pt: SlicePoint) -> int:
-    """Dimension of {c in q : [c, x] = 0}: dim q minus the rank of c -> [c, x].
+    """Dimension of {c in q : [c, x] = 0}: dim q minus the rank of the rotations.
 
-    The rank is taken of the n^2 x dim q matrix with the flattened
-    brackets as columns: its short rows fill in less than dim q rows of
-    length n^2 would.
+    That rank is the length of the point's ``echelon``.  z(f)
+    coordinates are injective, so the rotations have the same rank as
+    n^2 vectors, and that is cross-checked in independent arithmetic:
+    their rank mod p, taken of the n^2 x dim q matrix with the rotations
+    as columns, whose short rows fill in less.  A rank mod p can only
+    fall short of the exact one, so a rank above it is a broken model at
+    once; one below it is recomputed exactly first.
     """
     r = pt.realization
-    return r.dim_q - RatMatrix.from_rows(pt.rotations, r.family.size ** 2).transpose().rank()
+    rank = len(pt.echelon)
+    columns = RatMatrix.from_rows(pt.rotations, r.family.size ** 2).transpose()
+    found = rank_mod_p(columns.entries)
+    if found < rank:
+        found = columns.rank()
+    if found != rank:
+        raise InconsistentRealization(
+            f"the rotations have rank {found} in the matrix space but {rank} "
+            "in z(f) coordinates: broken realization")
+    return r.dim_q - rank
 
 
 @dataclass(frozen=True)
@@ -195,20 +224,47 @@ class CoisotropyReport:
         return asdict(self)
 
 
-def _radical_dim(m: RatMatrix, gram: RatMatrix) -> int:
-    """dim of W meet W-perp, the radical of omega on W, for W = row space of m.
+def _restricted_form(echelon: list[Row], gram: RatMatrix, dg: int) -> RatMatrix:
+    """omega on W, for W spanned by g and the echelon rows shifted past g.
 
-    The rows of m must be independent and gram must be antisymmetric.
-    Each row of m is first scaled to integers, which changes neither W
-    nor the rank below.  A vector m^T a of W lies in W-perp iff (m .
-    gram . m^T) a = 0, and a -> m^T a is injective, so the radical has
-    dimension dim W - rank(m . gram . m^T).  That restricted form is
-    antisymmetric, so it is formed from its entries (i, j) with j > i
-    alone (``_antisymmetric_product``).
+    The rows of W come rotation first: the echelon rows last to first,
+    then the g unit rows last to first.  The first columns are then the
+    rotation ones, on which elimination pivots first; with omega zero on
+    z(f) x z(f) they vanish on the rotation rows, and fill in far less.
+    gram must be antisymmetric.  Its g x g block is used as it stands.
+    The rest is one sparse product, of the echelon rows E with gram's
+    z(f) rows: its g columns give the rotation x g block, whose negative
+    transpose is the g x rotation block, and its z(f) columns, times
+    E^T, the rotation x rotation block.  That last block is read from
+    gram, not assumed zero.  Each row is stored by increasing column:
+    elimination clears a row's pivots in its stored order, and on these
+    forms leftmost first grows the entries least.
     """
-    m = RatMatrix.from_rows([_integer_row(row) for row in m.entries], m.cols)
-    restricted = _antisymmetric_product((m @ gram).entries, _column_index(m), m.rows)
-    return m.rows - RatMatrix.from_rows(restricted, m.rows).rank()
+    k = len(echelon)
+    size = k + dg
+    last = size - 1                       # g row i sits at last - i
+    e_cols: ColumnIndex = [[] for _ in range(gram.rows - dg)]
+    for s, row in enumerate(echelon):
+        for j, val in row.items():
+            e_cols[j].append((k - 1 - s, val))
+    out: list[Row] = [{} for _ in range(k)]
+    out += [{last - j: val for j, val in gram.entries[i].items() if j < dg}
+            for i in reversed(range(dg))]
+    for s, row in enumerate(echelon):
+        acc: Row = {}
+        for j, val in row.items():
+            for c, x in gram.entries[dg + j].items():
+                acc[c] = acc.get(c, 0) + val * x
+        out_t = out[k - 1 - s]
+        for c, val in _clean(acc).items():
+            if c < dg:
+                out_t[last - c] = val
+                out[last - c][k - 1 - s] = -val
+            else:
+                for t, x in e_cols[c - dg]:
+                    out_t[t] = out_t.get(t, 0) + val * x
+        out[k - 1 - s] = _clean(out_t)
+    return RatMatrix.from_rows([dict(sorted(row.items())) for row in out], size)
 
 
 def _check_at(r: MatrixRealization, seed: int) -> CoisotropyReport:
@@ -218,8 +274,12 @@ def _check_at(r: MatrixRealization, seed: int) -> CoisotropyReport:
     (Gan-Ginzburg, IMRN 2002), so its rank is computed only as a check
     on the model: a rank drop is a broken realization.  Hence dim W-perp
     = ambient - dim W, and containment is decided from the radical of
-    omega on W (see ``_radical_dim``), not from a basis of W-perp: W
-    contains W-perp iff the radical is all of W-perp.
+    omega on W, not from a basis of W-perp: W contains W-perp iff the
+    radical is all of W-perp.  A vector of W lies in W-perp iff its
+    coordinates are in the kernel of omega restricted to W, so the
+    radical has dimension dim W - rank of that form
+    (``_restricted_form``).  W, the stabilizer and that form all read
+    the one elimination of the rotations, the point's ``echelon``.
     """
     pt = slice_point(r, seed)
     gram = omega_gram(pt)
@@ -228,17 +288,8 @@ def _check_at(r: MatrixRealization, seed: int) -> CoisotropyReport:
         raise InconsistentRealization(f"omega has rank {omega_rank} < dim_ambient {ambient}: "
                                       "broken realization")
     w = orbit_tangent(pt)
-    # W's basis is the unit rows of g, then the rotation directions.  In
-    # reverse, the restricted form's first columns are the rotation ones,
-    # which vanish on the rotation rows (omega pairs no two z(f) vectors),
-    # and elimination pivots on them first: it fills in far less.
-    intersection = _radical_dim(RatMatrix.from_rows(w.rows[::-1], w.ambient_dim), gram)
     stabilizer = stabilizer_dim(pt)
-    # W = g + [q, x], and c -> [c, x] on q has kernel the stabilizer, so two
-    # eliminations must agree: dim W = dim g + dim q - dim stabilizer.
-    if w.dim != r.dim_g + r.dim_q - stabilizer:
-        raise InconsistentRealization(f"dim W = {w.dim}, but dim g + dim q - stabilizer = "
-                                      f"{r.dim_g} + {r.dim_q} - {stabilizer}: broken realization")
+    intersection = w.dim - _restricted_form(pt.echelon, gram, r.dim_g).rank()
     dim_perp = ambient - w.dim
     return CoisotropyReport(
         case=r.label, seed=seed,

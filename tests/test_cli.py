@@ -299,9 +299,9 @@ def test_omega_gram_pairs_only_supports_that_meet(capsys, monkeypatch):
 
 
 def test_verify_brackets_only_to_check_the_model(capsys, monkeypatch):
-    # The triple relations and [c, e] = [c, f] = 0 for each c in q are the
-    # only bracket calls: 3 + 2 * 21 for sp8-hook6, whose q is sp(6).
-    # Everything else applies ad to whole bases at once.
+    # The three triple relations are the only bracket calls.  [c, e] = [c, f]
+    # = 0 is checked with one ad_rows call per operator over the whole q
+    # basis, and everything else applies ad to whole bases at once too.
     real, calls = exactlinalg.bracket, []
 
     def counted(x, y):
@@ -314,7 +314,7 @@ def test_verify_brackets_only_to_check_the_model(capsys, monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     code, _, _ = run(capsys, "verify", "--case", "sp8-hook6")
     assert code == 0
-    assert len(calls) == 45
+    assert len(calls) == 3
 
 
 def test_verify_applies_ad_twice_per_sample(capsys, monkeypatch):
@@ -369,14 +369,26 @@ def test_verify_model_broken_at_the_slice_point_exits_1(capsys, monkeypatch):
     assert err == "error: q direction leaves z(f): broken realization\n"
 
 
-def test_verify_cross_checks_dim_W_against_the_stabilizer(capsys, monkeypatch):
-    # dim W = dim g + dim q - stabilizer_dim, by rank-nullity on c -> [c, x];
-    # two eliminations that break it mean a broken model, not a verdict.
-    real = verifier.stabilizer_dim
-    monkeypatch.setattr(verifier, "stabilizer_dim", lambda pt: real(pt) + 1)
-    code, out, err = run(capsys, "verify", "--case", "sp6-33")
-    assert code == 1 and not out
-    assert err.startswith("error: dim W = ") and "broken realization" in err
+def test_verify_rotation_rank_mod_p_above_the_echelon_exits_1(capsys, monkeypatch):
+    # The rotations [x, c] have one rank as n^2 vectors and in z(f)
+    # coordinates.  Mod p that rank can only fall short, so a rank above
+    # the echelon's is a broken model at once.
+    real = verifier.rank_mod_p
+    monkeypatch.setattr(verifier, "rank_mod_p", lambda rows: real(rows) + 1)
+    assert run(capsys, "verify", "--case", "sp6-33") == (
+        1, "", "error: the rotations have rank 4 in the matrix space but 3 in z(f) "
+               "coordinates: broken realization\n")
+
+
+def test_verify_rotation_rank_mod_p_below_the_echelon_is_recomputed(capsys, monkeypatch):
+    # A rank mod p below the exact one may be a bad prime: it is recomputed
+    # exactly, agrees, and the record is printed as usual.
+    real = verifier.rank_mod_p
+    monkeypatch.setattr(verifier, "rank_mod_p", lambda rows: real(rows) - 1)
+    assert run(capsys, "verify", "--case", "sp6-33") == (
+        0, '{"case": "sp6-33", "contained": true, "dim_W": 24, "dim_W_perp": 4, '
+           '"dim_ambient": 28, "dim_intersection": 4, "inconclusive": false, '
+           '"omega_rank": 28, "seed": 0, "stabilizer_dim": 0}\n', "")
 
 
 # SHA-256 over "label seed exit code", a newline and stdout, for
@@ -562,12 +574,17 @@ def test_main_maps_each_failure_to_one_line_and_an_exit_code(capsys, monkeypatch
     line for anything else, a malformed or mismatched table included."""
     missing, malformed = tmp_path / "missing.tsv", tmp_path / "malformed.tsv"
     malformed.write_text("label\tdim\n0\t0\n", encoding="utf-8")
+    undecodable = tmp_path / "undecodable.tsv"
+    undecodable.write_bytes(b"\xff\xfelabel\tdim\tcentralizer\n")
     g2 = str(Path(slicescope.__file__).parent / "data" / "g2.tsv")
     cases = (
         (["scan", "--data", str(missing), "--algebra", "F4"], 2,
          f"error: [Errno 2] No such file or directory: '{missing}'"),
         (["scan", "--data", str(malformed), "--algebra", "G2"], 2,
          f"usage error: {malformed}:2: expected at least 3 columns"),
+        (["scan", "--data", str(undecodable), "--algebra", "F4"], 2,
+         f"usage error: {undecodable}:1: not UTF-8: 'utf-8' codec can't decode byte 0xff "
+         "in position 0: invalid start byte"),
         (["scan", "--data", g2, "--algebra", "E8"], 2,
          f"usage error: {g2}: row 1 (0): zero orbit needs all of E8 as its centralizer"),
         (["check", "--family", "gl", "--partition", "2,x"], 2,

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,17 @@ def test_load_table_errors(tmp_path):
     with pytest.raises(TableError, match=r"odd_sp.tsv:3: bad centralizer factor 'Sp3'"):
         load_table(odd_sp, exceptional("G2"))
 
+
+def test_load_table_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    # Lines are counted as text-mode reading counts them, \r\n and \r included.
+    for data, line in ((b"\xff\xfelabel\n", 1),
+                       (b"label\tdim\tcentralizer\r\n0\t0\tG2\r\nx\t6\t\xe9\n", 3),
+                       (b"# note\rlabel\tdim\tcentralizer\r0\t0\tG2\xc3\n", 3)):
+        path = tmp_path / "table.tsv"
+        path.write_bytes(data)
+        with pytest.raises(TableError, match=rf"^{re.escape(str(path))}:{line}: not UTF-8: "
+                                             r"'utf-8' codec can't decode byte 0x"):
+            load_table(path, exceptional("G2"))
 
 def test_table_refuses_centralizers_of_another_algebra():
     # The reductive centralizer lies in Z_G(e), of dim dim g - orbit dim and

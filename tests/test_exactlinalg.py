@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slicescope.exactlinalg import (RatMatrix, Subspace, _rref, _sparse, ad_rows,
-                                    bracket, kernel, rank_of_vectors, trace_form)
+                                    bracket, kernel, rank_mod_p, rank_of_vectors, trace_form)
 
 
 def test_kernel_identity_is_trivial():
@@ -299,3 +299,31 @@ def test_results_do_not_depend_on_row_order(pair):
     joint = len(_ref_rref(a + c)[1])
     for s, other in [(sub, sc), (psub, sc), (sub, psc), (psub, psc)]:
         assert s.intersection_dim(other) == s.dim + other.dim - joint
+
+
+# rank_mod_p is a cross-check on exact ranks: mod p = 2^61 - 1, a rank can
+# only fall short, never exceed.  Entries that are multiples of p make it
+# fall short; the rest are _entries, Fractions among them.
+
+_P = 2 ** 61 - 1
+_entries_mod_p = st.one_of(_entries, st.sampled_from([_P, -2 * _P, _P + 1]))
+
+
+@st.composite
+def _integer_scaled_matrices(draw):
+    cols = draw(st.integers(1, 5))
+    return draw(st.lists(st.lists(_entries_mod_p, min_size=cols, max_size=cols),
+                         min_size=1, max_size=6))
+
+
+@given(_integer_scaled_matrices())
+@settings(max_examples=150, deadline=None)
+def test_rank_mod_p_never_exceeds_the_exact_rank(rows):
+    assert rank_mod_p(map(_sparse, rows)) <= rank_of_vectors(rows)
+
+
+def test_rank_mod_p_falls_short_on_a_row_of_multiples_of_p():
+    rows = [[_P, 0, 3 * _P], [0, 1, 0], [0, Fraction(1, 2), 1]]
+    assert rank_of_vectors(rows) == 3
+    assert rank_mod_p(map(_sparse, rows)) == 2
+    assert rank_mod_p(map(_sparse, rows[1:])) == 2

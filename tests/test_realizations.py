@@ -2,14 +2,16 @@ import dataclasses
 
 import pytest
 
+from slicescope import realizations
 from slicescope.classifier import classify
 from slicescope.exactlinalg import RatMatrix, Subspace, bracket, kernel
 from slicescope.liealg import (AlgebraFamily, effective_centralizer, exceptional, gl,
                                orbit_datum, so, sp)
 from slicescope.partitions import (Partition, hook_parameters, multiplicities,
                                    valid_jordan_types)
-from slicescope.realizations import (RealizationError, _ad_kernel_in, _direct_sum,
-                                     _kron, _sl2_on_jordan_block, _standard_symplectic,
+from slicescope.realizations import (InconsistentRealization, RealizationError, _ad_kernel_in,
+                                     _direct_sum, _kron, _sl2_on_jordan_block,
+                                     _standard_symplectic,
                                      build_algebra, build_case, classical_triple,
                                      invariant_form_on_block,
                                      sp6_q_cartan, weight_space_dims)
@@ -250,6 +252,27 @@ def test_q_centralizes_triple():
         assert bracket(c, r.f).is_zero()
         assert bracket(c, r.h).is_zero()
 
+
+@pytest.mark.parametrize("extra, message", [
+    ("e", "q element fails to centralize e, f"),          # [e, e] = 0, [e, f] = h
+    ("f", "q element fails to centralize e, f"),          # [f, e] = -h, [f, f] = 0
+    ("identity", "q element does not preserve the form"),  # central, but I^T M + M I = 2M
+])
+def test_each_q_check_catches_a_bad_element(monkeypatch, extra, message):
+    # The z(f) kernel is taken under ad f, then q under ad e; q gains one bad element.
+    real, ops = realizations._ad_kernel_in, []
+
+    def with_extra(basis, op, traceless=False):
+        ops.append(op)
+        out = real(basis, op, traceless)
+        if len(ops) == 2:
+            f, e = ops
+            out = out + [{"e": e, "f": f, "identity": RatMatrix.identity(e.rows)}[extra]]
+        return out
+
+    monkeypatch.setattr(realizations, "_ad_kernel_in", with_extra)
+    with pytest.raises(InconsistentRealization, match=f"^sp4-2.2: {message}$"):
+        build_case("sp4-2.2")
 
 def test_build_case_labels():
     assert build_case("gl5-3.2").jordan_type == Partition((3, 2))

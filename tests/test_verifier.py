@@ -5,13 +5,12 @@ from pathlib import Path
 import pytest
 
 from slicescope.classifier import NON_HOOK_CASES, classify, predicted_coisotropy
-from slicescope.exactlinalg import (RatMatrix, Subspace, _column_index, bracket, kernel,
-                                    trace_form)
+from slicescope.exactlinalg import (RatMatrix, Subspace, _echelon, bracket, kernel,
+                                    rank_mod_p, trace_form)
 from slicescope.liealg import AlgebraFamily, gl, orbit_datum
 from slicescope.realizations import build_case, classical_triple
-from slicescope.verifier import (SlicePoint, _antisymmetric_product, _check_at, _radical_dim,
-                                 coisotropy_check, omega_gram, orbit_tangent, slice_point,
-                                 stabilizer_dim)
+from slicescope.verifier import (SlicePoint, _check_at, _restricted_form, coisotropy_check,
+                                 omega_gram, orbit_tangent, slice_point, stabilizer_dim)
 from slicescope.partitions import Partition, valid_jordan_types
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -249,20 +248,29 @@ def test_slice_point_is_e_plus_the_combination(samples):
         assert pt.x == x, (r.label, seed)
 
 
-def _restricted_form(m, gram):
-    mg = m @ gram
-    return RatMatrix.from_rows(_antisymmetric_product(mg.entries, _column_index(m), m.rows),
-                               m.rows)
+def _rotation_first(w):
+    """W's basis as the rows of a matrix, in the order _restricted_form takes them."""
+    return RatMatrix.from_rows(w.rows[::-1], w.ambient_dim)
 
 
-def test_restricted_form_from_half_the_product(samples):
-    # omega on W from its entries above the diagonal, rows as _check_at orders them.
+def test_restricted_form_from_the_gram_blocks(samples):
+    # omega on W assembled from the Gram matrix's blocks and one product
+    # with the echelon rows equals the full product M . gram . M^T.
     for r, seed in samples:
         pt = slice_point(r, seed)
         gram = omega_gram(pt)
-        w = orbit_tangent(pt)
-        m = RatMatrix.from_rows(w.rows[::-1], w.ambient_dim)
-        assert _restricted_form(m, gram) == (m @ gram) @ m.transpose(), (r.label, seed)
+        m = _rotation_first(orbit_tangent(pt))
+        assert _restricted_form(pt.echelon, gram, r.dim_g) == (m @ gram) @ m.transpose(), \
+            (r.label, seed)
+
+
+def test_rotation_rank_mod_p_is_exact_on_every_sample(samples):
+    # The cross-check agrees with the exact rank of the rotations, as n^2
+    # vectors, and with the echelon of their z(f) coordinates.
+    for r, seed in samples:
+        pt = slice_point(r, seed)
+        exact = RatMatrix.from_rows(pt.rotations, r.family.size ** 2).rank()
+        assert rank_mod_p(pt.rotations) == exact == len(pt.echelon), (r.label, seed)
 
 
 def test_orbit_tangent_spans_all_generators(samples):
@@ -279,12 +287,15 @@ def test_orbit_tangent_spans_all_generators(samples):
 
 
 def test_containment_on_degenerate_forms():
-    # Congruent images of antisymmetric forms with a zero block: the radical
-    # of a form on W and the restricted form ask only for antisymmetry.
+    # Congruent images of antisymmetric forms with a zero block, on dg + dz
+    # coordinates, with W spanned by the first dg unit rows and echelon rows
+    # in the last dz: the assembly asks only for antisymmetry, and reads the
+    # dz x dz block, which these forms fill.
     rng = random.Random(0)
-    checked = 0
+    checked = filled = 0
     while checked < 60:
-        k = rng.randint(1, 6)
+        dg, dz = rng.randint(0, 4), rng.randint(1, 4)
+        k = dg + dz
         core = rng.randint(0, k - 1)
         form = {}
         for i in range(core):
@@ -295,10 +306,17 @@ def test_containment_on_degenerate_forms():
         if p.rank() < k:
             continue
         gram = p.transpose() @ RatMatrix.from_entries(k, k, form) @ p
-        assert gram.rank() < k
-        w = Subspace.span(k, [[rng.randint(-1, 1) for _ in range(k)]
-                              for _ in range(rng.randint(0, k))])
-        assert _radical_dim(w.matrix(), gram) == _kernel_containment(w, gram)[1]
-        m = w.matrix()
-        assert _restricted_form(m, gram) == (m @ gram) @ m.transpose()
+        assert gram.rank() < k and gram.transpose() == -gram
+        reduced = _echelon({j: x for j, x in enumerate(rng.randint(-1, 1) for _ in range(dz)) if x}
+                           for _ in range(rng.randint(0, dz)))
+        echelon = [reduced[c] for c in sorted(reduced)]
+        rows = [{i: 1} for i in range(dg)] + [{dg + j: x for j, x in row.items()}
+                                              for row in echelon]
+        w = Subspace(k, rows)
+        restricted = _restricted_form(echelon, gram, dg)
+        m = _rotation_first(w)
+        assert restricted == (m @ gram) @ m.transpose()
+        assert w.dim - restricted.rank() == _kernel_containment(w, gram)[1]
+        filled += any(gram[i, j] for i in range(dg, k) for j in range(dg, k)) and bool(echelon)
         checked += 1
+    assert filled >= 10
