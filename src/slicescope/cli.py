@@ -20,7 +20,7 @@ import sys
 from operator import itemgetter
 
 from . import classifier, datasets, liealg, realizations, superdual, verifier
-from .classifier import HYPERSPHERICAL_STATUSES, Status, Verdict
+from .classifier import HYPERSPHERICAL_STATUSES, Verdict
 from .liealg import AlgebraFamily
 from .partitions import parse_partition
 
@@ -84,10 +84,9 @@ def _pretty_identity(v: Verdict, out) -> None:
     out.write(f"    identity: {left} - {mid} = {left - mid} = {g.rank} + {q.rank}\n")
 
 
-def _emit_records(verdicts: list[Verdict], fmt: str, out,
-                  identity_statuses=frozenset(Status)) -> None:
-    """One record per verdict.  In pretty format a verdict whose status is
-    in identity_statuses is followed by its identity line, if it has one."""
+def _emit_records(verdicts: list[Verdict], fmt: str, out) -> None:
+    """One record per verdict.  In pretty format each verdict of slack 0
+    is followed by its identity line."""
     records = [_verdict_record(v) for v in verdicts]
     if fmt == "tsv":
         out.write("\t".join(_COLUMNS) + "\n")
@@ -102,14 +101,12 @@ def _emit_records(verdicts: list[Verdict], fmt: str, out,
             out.write(f"    slice dim {rec['slice_dim']}, Q = {rec['q_factors']}, "
                       f"bound {rec['lhs']} vs {rec['rhs']} (slack {rec['slack']})\n")
             out.write(f"    S-dual: {rec['sdual']}\n")
-            if v.status in identity_statuses:
-                _pretty_identity(v, out)
+            _pretty_identity(v, out)
 
 
 def cmd_classify(args, out) -> int:
     verdicts = classifier.enumerate_and_classify(_family_from_args(args))
-    _emit_records(verdicts, args.format, out,
-                  {Status.HYPERSPHERICAL_HOOK, Status.HYPERSPHERICAL_SPECIAL})
+    _emit_records(verdicts, args.format, out)
     return 0
 
 

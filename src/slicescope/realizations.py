@@ -1,8 +1,9 @@
 """Explicit exact-rational matrix models of slices and their symmetries.
 
 A realization packages, for one concrete nilpotent: the ambient matrix
-Lie algebra g (as a basis of the n x n matrix space cut out by a bilinear
-form, or all of gl), an sl2-triple (e, h, f) through the nilpotent, a
+Lie algebra g (all of gl, or for a bilinear form M the kernel of the form
+map X -> X^T M + M X, ``_form_rows``, which also checks that e, f, h and
+q preserve M), an sl2-triple (e, h, f) through the nilpotent, a
 basis of the centralizer z(f) (so the slice is e + span of it), and a
 basis of the reductive symmetry algebra q, the centralizer of the triple
 (traceless for gl).  g, z(f) and q are each found by an exact kernel,
@@ -16,9 +17,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 from . import classifier, liealg
-from .exactlinalg import RatMatrix, Subspace, ad_rows, bracket, kernel
+from .exactlinalg import RatMatrix, Row, Subspace, _clean, ad_rows, bracket, kernel
 from .liealg import AlgebraFamily, OrbitDatum
 from .partitions import Partition, multiplicities
 
@@ -86,20 +88,39 @@ class MatrixRealization:
         return self._zf
 
 
-def _unit(n: int, i: int, j: int) -> RatMatrix:
-    return RatMatrix.from_entries(n, n, {(i, j): 1})
+def _form_rows(gram: RatMatrix, rows: Sequence[Row]) -> list[Row]:
+    """The flattened X^T M + M X, M = gram, for each flattened n x n sparse row X.
+
+    This is the package's one loop for the form map; g is its kernel.  M
+    is transposed once per call; then an entry v of X at (k, l) adds
+    v M_kb at (l, b), from X^T M, and M_ak v at (a, l), from M X.
+    """
+    n = gram.rows
+    m_rows, m_cols = gram.entries, gram.transpose().entries
+    out = []
+    for row in rows:
+        acc: Row = {}
+        for c, v in row.items():
+            k, l = divmod(c, n)
+            for b, y in m_rows[k].items():
+                key = l * n + b
+                acc[key] = acc.get(key, 0) + v * y
+            for a, y in m_cols[k].items():
+                key = a * n + l
+                acc[key] = acc.get(key, 0) + y * v
+        out.append(_clean(acc))
+    return out
 
 
 def build_algebra(n: int, gram: RatMatrix | None) -> list[RatMatrix]:
     """Basis of {X : X^T M + M X = 0}, or all of gl(n) when gram is None.
 
-    The basis is the kernel of the linear map X -> X^T M + M X on the
-    n^2-dimensional matrix space.  Its columns are written in closed
-    form: for X = E_ij, X^T M is row i of M moved to row j, and M X is
-    column i of M moved to column j, so no matrix product is formed.
+    The basis is the kernel of ``_form_rows`` on the n^2 unit matrices
+    E_ij, the matrix space's standard basis.
     """
+    units = [{c: 1} for c in range(n * n)]
     if gram is None:
-        return [_unit(n, i, j) for i in range(n) for j in range(n)]
+        return [RatMatrix.from_flat_row(u, n, n) for u in units]
     if gram.rows != n or gram.cols != n:
         raise RealizationError("gram matrix of wrong size")
     gt = gram.transpose()
@@ -107,17 +128,7 @@ def build_algebra(n: int, gram: RatMatrix | None) -> list[RatMatrix]:
         raise RealizationError("gram must be symmetric or antisymmetric")
     if gram.rank() != n:
         raise RealizationError("degenerate gram matrix")
-    # Entry (a * n + b, i * n + j): entry (a, b) of the image of E_ij.
-    constraint: dict[tuple[int, int], int] = {}
-    for i, (row, column) in enumerate(zip(gram.entries, gt.entries)):
-        for j in range(n):
-            col = i * n + j
-            for b, x in row.items():                  # row i of M into row j
-                constraint[j * n + b, col] = x
-            for a, x in column.items():               # column i of M into column j
-                key = (a * n + j, col)
-                constraint[key] = constraint.get(key, 0) + x
-    ker = kernel(RatMatrix.from_entries(n * n, n * n, constraint))
+    ker = kernel(RatMatrix.from_rows(_form_rows(gram, units), n * n).transpose())
     return [RatMatrix.from_flat_row(v, n, n) for v in ker.rows]
 
 
@@ -168,7 +179,7 @@ def invariant_form_on_block(m: int) -> RatMatrix:
     sym = form.transpose() == form
     if sym != (m % 2 == 1):
         raise InconsistentRealization("invariant form has the wrong symmetry")
-    if not all(_preserves(x, form) for x in _sl2_on_jordan_block(m)):
+    if any(_form_rows(form, [x.flat_row() for x in _sl2_on_jordan_block(m)])):
         raise InconsistentRealization(f"the {m}-block triple does not preserve its form")
     return form
 
@@ -205,24 +216,6 @@ def _direct_sum(blocks: list[RatMatrix]) -> RatMatrix:
                 entries[offset + i, offset + j] = x
         offset += b.rows
     return RatMatrix.from_entries(n, n, entries)
-
-
-def _preserves(x: RatMatrix, gram: RatMatrix) -> bool:
-    """Whether x^T M + M x = 0 for M = gram, summed in one pass over x's entries.
-
-    An entry v of x at (k, l) adds v M_kb at (l, b), from x^T M, and
-    M_ak v at (a, l), from M x.
-    """
-    n = x.rows
-    m_rows, m_cols = gram.entries, gram.transpose().entries
-    acc: dict[int, object] = {}
-    for k, row in enumerate(x.entries):
-        for l, v in row.items():
-            for b, y in m_rows[k].items():
-                acc[l * n + b] = acc.get(l * n + b, 0) + v * y
-            for a, y in m_cols[k].items():
-                acc[a * n + l] = acc.get(a * n + l, 0) + y * v
-    return not any(acc.values())
 
 
 def classical_triple(family: AlgebraFamily, p: Partition) -> MatrixRealization:
@@ -275,7 +268,7 @@ def classical_triple(family: AlgebraFamily, p: Partition) -> MatrixRealization:
     if family.kind != "GL":
         gram = _direct_sum([_kron(form_m, invariant_form_on_block(i))
                             for i, _, form_m in blocks])
-        if not all(_preserves(x, gram) for x in (e, f, h)):
+        if any(_form_rows(gram, [x.flat_row() for x in (e, f, h)])):
             raise InconsistentRealization(f"{label}: triple does not preserve the form")
     g_basis = build_algebra(n, gram)
     if len(g_basis) != family.dim:
@@ -289,7 +282,7 @@ def classical_triple(family: AlgebraFamily, p: Partition) -> MatrixRealization:
     flat_q = [c.flat_row() for c in q_basis]
     if any(ad_rows(e, flat_q)) or any(ad_rows(f, flat_q)):
         raise InconsistentRealization(f"{label}: q element fails to centralize e, f")
-    if gram is not None and not all(_preserves(c, gram) for c in q_basis):
+    if gram is not None and any(_form_rows(gram, flat_q)):
         raise InconsistentRealization(f"{label}: q element does not preserve the form")
     expected_q = o.effective_centralizer.dim
     if len(q_basis) != expected_q:

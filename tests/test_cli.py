@@ -71,7 +71,10 @@ def test_classify_pretty_puts_each_identity_under_its_orbit(capsys):
     lines = out.splitlines()
     identities = [(lines[i - 3], line) for i, line in enumerate(lines) if "identity:" in line]
     assert code == 0 and identities == [
+        ("GL(4)  (4)  -> RegularOrbit", "    identity: 20 - 16 = 4 = 4 + 0"),
         ("GL(4)  (3,1)  -> HypersphericalHook", "    identity: 22 - 17 = 5 = 4 + 1"),
+        ("GL(4)  (2,2)  -> HypersphericalViaIsomorphism [(3,1,1,1) in SO(6)]",
+         "    identity: 24 - 19 = 5 = 4 + 1"),
         ("GL(4)  (2,1,1)  -> HypersphericalHook", "    identity: 26 - 20 = 6 = 4 + 2"),
     ]
 
@@ -454,7 +457,7 @@ def _classify_commands() -> list[list[str]]:
 # stderr, for each of _classify_commands() in order.  It pins the bytes
 # of the combinatorial path beyond the benchmark's TSV digests: the json
 # and pretty formats, the pretty identity lines, check and dual.
-CLASSIFY_DIGEST = "3111b33d5494a35284b11b96741200effce8a6522ae40bc5ea8765f9af5efef8"
+CLASSIFY_DIGEST = "4357bb4e860a242c9a8be3c6c90c7d8204a604284999e29fc2374ad8b41b3651"
 
 
 def test_classify_output_matches_the_recorded_digest(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -10,7 +11,7 @@ from slicescope.liealg import (AlgebraFamily, effective_centralizer, exceptional
 from slicescope.partitions import (Partition, hook_parameters, multiplicities,
                                    valid_jordan_types)
 from slicescope.realizations import (InconsistentRealization, RealizationError, _ad_kernel_in,
-                                     _direct_sum, _kron, _sl2_on_jordan_block,
+                                     _direct_sum, _form_rows, _kron, _sl2_on_jordan_block,
                                      _standard_symplectic,
                                      build_algebra, build_case, classical_triple,
                                      invariant_form_on_block,
@@ -48,14 +49,39 @@ def _small_sp_so_types():
                 yield AlgebraFamily(kind, n), p
 
 
-def test_build_algebra_matches_the_product_defined_map():
+def _forms():
+    """The block forms, the multiplicity-space forms and every sp/so model's form."""
     grams = [invariant_form_on_block(m) for m in range(1, 13)]
     grams += [RatMatrix.identity(d) for d in range(1, 9)]
     grams += [_standard_symplectic(d) for d in range(2, 9, 2)]
     grams += [classical_triple(family, p).gram for family, p in _small_sp_so_types()]
     assert len(grams) == 12 + 8 + 4 + 61     # 61 valid sp/so types with n <= 8
-    for gram in grams:
+    return grams
+
+
+def test_build_algebra_matches_the_product_defined_map():
+    for gram in _forms():
         assert build_algebra(gram.rows, gram) == _product_defined_algebra(gram.rows, gram)
+
+
+def test_form_rows_matches_the_matrix_products():
+    rng = random.Random(0)
+    for m in _forms():
+        n = m.rows
+        xs = [RatMatrix([[rng.choice((0, 0, 0, -2, -1, 1, 3)) for _ in range(n)]
+                         for _ in range(n)]) for _ in range(3)]
+        assert _form_rows(m, [x.flat_row() for x in xs]) == [
+            (x.transpose() @ m + m @ x).flat_row() for x in xs]
+
+
+def test_form_rows_vanishes_on_every_model_element():
+    checked = 0
+    for family, p in _small_sp_so_types():
+        r = classical_triple(family, p)
+        elements = [r.e, r.f, r.h, *r.g_basis, *r.zf_basis, *r.q_basis]
+        assert _form_rows(r.gram, [x.flat_row() for x in elements]) == [{}] * len(elements)
+        checked += 1
+    assert checked == 61
 
 
 def _scaled_sum_ad_kernel(g_basis, op):
