@@ -7,9 +7,9 @@ project are mostly zero with small integer entries, so a matrix keeps
 only its nonzero entries: one dict per row, column -> value.  An entry
 is a Python ``int``, or a ``fractions.Fraction`` whose denominator is
 not 1; every operation keeps that form, and every division goes through
-``Fraction``.  Products, sums, traces and eliminations touch only the
-nonzero entries.  ``ad_rows`` is the one commutator loop: it maps a
-whole basis of flattened matrices Y to the flattened [op, Y], indexing
+``Fraction``.  Products, sums, trace pairings and eliminations touch
+only the nonzero entries.  ``ad_rows`` is the one commutator loop: it
+maps a whole basis of flattened matrices Y to the flattened [op, Y], indexing
 op by column once, with no intermediate product and no matrix built per
 element; ``bracket`` is ``ad_rows`` on a single element.
 Elimination takes rows sparsest first, which keeps fill-in down; its
@@ -17,8 +17,10 @@ results do not depend on the row order, because the reduced row echelon
 form of a span is unique.
 
 Vectors (flattened matrices, subspace bases, kernel bases) are sparse
-rows of the same form: a dict, column -> nonzero entry.  Dense forms
-appear only at the public edges: ``RatMatrix.data``, a copy, and
+rows of the same form: a dict, column -> nonzero entry.  A matrix
+model's bases are such rows, n x n matrices flattened row-major, which
+``ad_rows`` and ``trace_form`` take as they are.  Dense forms appear
+only at the public edges: ``RatMatrix.data``, a copy, and
 ``Subspace.basis``, a view built on first read.  A ``Subspace`` method
 that takes a vector takes either form.
 """
@@ -207,11 +209,6 @@ class RatMatrix:
             for j, x in row.items():
                 out[j][i] = x
         return RatMatrix._wrap(out, self.cols, self.rows)
-
-    def trace(self) -> Entry:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return _entry(sum(row.get(i, 0) for i, row in enumerate(self.entries)))
 
     def flat_row(self) -> Row:
         """The row-major flattening as a sparse row: entry (i, j) at i * cols + j."""
@@ -535,15 +532,13 @@ def ad_rows(op: RatMatrix, rows: Sequence[Row]) -> list[Row]:
     return out
 
 
-def trace_form(x: RatMatrix, y: RatMatrix) -> Entry:
-    """The invariant pairing tr(xy) on a matrix Lie algebra."""
-    if x.rows != x.cols or y.rows != y.cols or x.rows != y.rows:
-        raise ValueError("trace_form needs square matrices of equal size")
-    yrows = y.entries
+def trace_form(x: Row, y: Row, n: int) -> Entry:
+    """The invariant pairing tr(XY) = sum of X_ik Y_ki, of flattened n x n sparse rows."""
+    x, y = _as_row(x, n * n), _as_row(y, n * n)
     total: Entry = 0
-    for i, xrow in enumerate(x.entries):
-        for k, a in xrow.items():
-            b = yrows[k].get(i)
-            if b:
-                total += a * b
+    for c, a in x.items():
+        i, k = divmod(c, n)
+        b = y.get(k * n + i)
+        if b:
+            total += a * b
     return _entry(total)

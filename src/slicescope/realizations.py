@@ -8,9 +8,10 @@ basis of the centralizer z(f) (so the slice is e + span of it), and a
 basis of the reductive symmetry algebra q, the centralizer of the triple
 (traceless for gl).  g, z(f) and q are each found by an exact kernel,
 z(f) inside g and q inside z(f), then cross-checked against the
-combinatorial dimension formulas.  A realization also carries the
-classifier's verdict on its orbit, the prediction its samples are
-checked against.
+combinatorial dimension formulas.  The bases are held once, as
+flattened n x n sparse rows; e, f, h and the form, which act on them,
+are matrices.  A realization also carries the classifier's verdict on
+its orbit, the prediction its samples are checked against.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from . import classifier, liealg
-from .exactlinalg import RatMatrix, Row, Subspace, _clean, ad_rows, bracket, kernel
+from .exactlinalg import RatMatrix, Row, Subspace, _clean, _entry, ad_rows, bracket, kernel
 from .liealg import AlgebraFamily, OrbitDatum
 from .partitions import Partition, multiplicities
 
@@ -44,14 +45,15 @@ MAX_REALIZATION_SIZE = 12
 
 @dataclass
 class MatrixRealization:
+    """The triple and form as matrices; the g, z(f) and q bases as flattened sparse rows."""
     label: str
     verdict: classifier.Verdict      # the classifier's verdict on the modeled orbit
     e: RatMatrix
     f: RatMatrix
     h: RatMatrix
-    g_basis: list[RatMatrix]
-    zf_basis: list[RatMatrix]
-    q_basis: list[RatMatrix]
+    g_rows: list[Row]
+    zf_rows: list[Row]
+    q_rows: list[Row]
     gram: RatMatrix | None = None    # bilinear form cutting out g, None for gl
     _zf: Subspace | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -70,21 +72,20 @@ class MatrixRealization:
 
     @property
     def dim_g(self) -> int:
-        return len(self.g_basis)
+        return len(self.g_rows)
 
     @property
     def dim_zf(self) -> int:
-        return len(self.zf_basis)
+        return len(self.zf_rows)
 
     @property
     def dim_q(self) -> int:
-        return len(self.q_basis)
+        return len(self.q_rows)
 
     def zf_subspace(self) -> Subspace:
         """z(f) as a subspace of the flattened matrix space, built once."""
         if self._zf is None:
-            self._zf = Subspace(self.family.size ** 2,
-                                [m.flat_row() for m in self.zf_basis], check=False)
+            self._zf = Subspace(self.family.size ** 2, self.zf_rows, check=False)
         return self._zf
 
 
@@ -112,15 +113,15 @@ def _form_rows(gram: RatMatrix, rows: Sequence[Row]) -> list[Row]:
     return out
 
 
-def build_algebra(n: int, gram: RatMatrix | None) -> list[RatMatrix]:
-    """Basis of {X : X^T M + M X = 0}, or all of gl(n) when gram is None.
+def build_algebra(n: int, gram: RatMatrix | None) -> list[Row]:
+    """Basis of {X : X^T M + M X = 0} as flattened rows, all of gl(n) when gram is None.
 
     The basis is the kernel of ``_form_rows`` on the n^2 unit matrices
     E_ij, the matrix space's standard basis.
     """
     units = [{c: 1} for c in range(n * n)]
     if gram is None:
-        return [RatMatrix.from_flat_row(u, n, n) for u in units]
+        return units
     if gram.rows != n or gram.cols != n:
         raise RealizationError("gram matrix of wrong size")
     gt = gram.transpose()
@@ -128,32 +129,28 @@ def build_algebra(n: int, gram: RatMatrix | None) -> list[RatMatrix]:
         raise RealizationError("gram must be symmetric or antisymmetric")
     if gram.rank() != n:
         raise RealizationError("degenerate gram matrix")
-    ker = kernel(RatMatrix.from_rows(_form_rows(gram, units), n * n).transpose())
-    return [RatMatrix.from_flat_row(v, n, n) for v in ker.rows]
+    return kernel(RatMatrix.from_rows(_form_rows(gram, units), n * n).transpose()).rows
 
 
-def _ad_kernel_in(basis: list[RatMatrix], op: RatMatrix,
-                  traceless: bool = False) -> list[RatMatrix]:
+def _ad_kernel_in(basis: list[Row], op: RatMatrix, traceless: bool = False) -> list[Row]:
     """Basis of {X in span(basis) : [op, X] = 0}, and tr X = 0 if traceless.
 
-    The trace is one more constraint row of the same kernel.  Each basis
-    element is a combination of the given basis with coefficients from
-    the kernel; all of them come out of one product with the flattened
-    basis.
+    basis and the result are flattened rows.  The trace, summed at each
+    row's diagonal positions i * (n + 1), is one more constraint row of
+    the same kernel.  Each result row is a combination of the basis rows
+    with coefficients from the kernel, all from one product.
     """
     n = op.rows
     width = n * n + 1 if traceless else n * n
-    flat = [b.flat_row() for b in basis]
-    cols = ad_rows(op, flat)
+    cols = ad_rows(op, basis)
     if traceless:
         for col, b in zip(cols, basis):
-            if t := b.trace():
+            if t := _entry(sum(x for c, x in b.items() if c % (n + 1) == 0)):
                 col[n * n] = t
     ker = kernel(RatMatrix.from_rows(cols, width).transpose())
     if not ker.dim:
         return []
-    combos = ker.matrix() @ RatMatrix.from_rows(flat, n * n)
-    return [RatMatrix.from_flat_row(row, n, n) for row in combos.entries]
+    return (ker.matrix() @ RatMatrix.from_rows(basis, n * n)).entries
 
 
 def _sl2_on_jordan_block(m: int) -> tuple[RatMatrix, RatMatrix, RatMatrix]:
@@ -270,26 +267,25 @@ def classical_triple(family: AlgebraFamily, p: Partition) -> MatrixRealization:
                             for i, _, form_m in blocks])
         if any(_form_rows(gram, [x.flat_row() for x in (e, f, h)])):
             raise InconsistentRealization(f"{label}: triple does not preserve the form")
-    g_basis = build_algebra(n, gram)
-    if len(g_basis) != family.dim:
+    g_rows = build_algebra(n, gram)
+    if len(g_rows) != family.dim:
         raise InconsistentRealization(f"{label}: algebra basis has the wrong dimension")
 
-    zf_basis = _ad_kernel_in(g_basis, f)
-    if len(zf_basis) != o.slice_dim:
+    zf_rows = _ad_kernel_in(g_rows, f)
+    if len(zf_rows) != o.slice_dim:
         raise InconsistentRealization(
-            f"{label}: dim z(f) = {len(zf_basis)}, expected {o.slice_dim}")
-    q_basis = _ad_kernel_in(zf_basis, e, traceless=family.kind == "GL")
-    flat_q = [c.flat_row() for c in q_basis]
-    if any(ad_rows(e, flat_q)) or any(ad_rows(f, flat_q)):
+            f"{label}: dim z(f) = {len(zf_rows)}, expected {o.slice_dim}")
+    q_rows = _ad_kernel_in(zf_rows, e, traceless=family.kind == "GL")
+    if any(ad_rows(e, q_rows)) or any(ad_rows(f, q_rows)):
         raise InconsistentRealization(f"{label}: q element fails to centralize e, f")
-    if gram is not None and any(_form_rows(gram, flat_q)):
+    if gram is not None and any(_form_rows(gram, q_rows)):
         raise InconsistentRealization(f"{label}: q element does not preserve the form")
     expected_q = o.effective_centralizer.dim
-    if len(q_basis) != expected_q:
+    if len(q_rows) != expected_q:
         raise InconsistentRealization(
-            f"{label}: dim q = {len(q_basis)}, expected {expected_q}")
+            f"{label}: dim q = {len(q_rows)}, expected {expected_q}")
     return MatrixRealization(label=label, verdict=classifier.classify(o), e=e, f=f, h=h,
-                             g_basis=g_basis, zf_basis=zf_basis, q_basis=q_basis, gram=gram)
+                             g_rows=g_rows, zf_rows=zf_rows, q_rows=q_rows, gram=gram)
 
 
 def sp6_q_cartan() -> RatMatrix:
@@ -306,7 +302,7 @@ def weight_space_dims(r: MatrixRealization, cartan: RatMatrix,
     """
     zf = r.zf_subspace()
     ad = {}  # matrix of ad(cartan) on z(f), in zf coordinates
-    for t, col in enumerate(ad_rows(cartan, [b.flat_row() for b in r.zf_basis])):
+    for t, col in enumerate(ad_rows(cartan, r.zf_rows)):
         coords = zf.coords(col)
         if coords is None:
             raise RealizationError("ad(cartan) does not preserve z(f)")

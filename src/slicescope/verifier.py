@@ -53,7 +53,7 @@ class SlicePoint:
 
     x and the rotations [x, c], c in q, are formed on first read and kept.
     x is summed as one flattened sparse row, e's entries plus c_i times
-    those of each z_i with c_i nonzero, and made a matrix once.
+    the row z_i for each c_i nonzero, and made a matrix once.
     """
     realization: MatrixRealization
     coefficients: tuple[int, ...]
@@ -68,15 +68,15 @@ class SlicePoint:
         r = self.realization
         n = r.e.rows
         x = r.e.flat_row()
-        for c, z in zip(self.coefficients, r.zf_basis):
+        for c, z in zip(self.coefficients, r.zf_rows):
             if c:
-                _axpy(x, c, z.flat_row())
+                _axpy(x, c, z)
         return RatMatrix.from_flat_row(x, n, n)
 
     @cached_property
     def rotations(self) -> list[Row]:
         """The flattened [x, c] for each c in the q basis, in order."""
-        return ad_rows(self.x, [c.flat_row() for c in self.realization.q_basis])
+        return ad_rows(self.x, self.realization.q_rows)
 
     @cached_property
     def echelon(self) -> list[dict[int, int]]:
@@ -100,7 +100,7 @@ class SlicePoint:
 
 def slice_point(r: MatrixRealization, seed: int) -> SlicePoint:
     rng = random.Random(seed)
-    return SlicePoint(r, tuple(rng.randint(-_BOX, _BOX) for _ in r.zf_basis))
+    return SlicePoint(r, tuple(rng.randint(-_BOX, _BOX) for _ in r.zf_rows))
 
 
 def _antisymmetric_product(rows: list[Row], b_cols: ColumnIndex, size: int) -> list[Row]:
@@ -139,11 +139,11 @@ def omega_gram(pt: SlicePoint) -> RatMatrix:
     a_kl b_lk, the dot product of the flattened a with the flattened
     transpose of b.  So entry (i, j) is the flattened [x, b_i] dotted
     with the flattened b_j^T.  g_cols, the column index of those
-    transposes, is read straight off the flattened g rows that ad_rows
-    takes, with no transpose formed: its row kn + l lists, by
-    increasing i, the (i, b_i[l][k]) with b_i[l][k] nonzero.  The block
-    is antisymmetric, so only its entries with j > i are summed
-    (``_antisymmetric_product``) and the rest are their negatives.
+    transposes, is read straight off the model's g rows, with no
+    transpose formed: its row kn + l lists, by increasing i, the
+    (i, b_i[l][k]) with b_i[l][k] nonzero.  The block is antisymmetric,
+    so only its entries with j > i are summed (``_antisymmetric_product``)
+    and the rest are their negatives.
 
     The g x z(f) block pairs z_j only with the b_i that g_cols lists at
     its support; every other pair has tr(z_j b_i) = 0 term by term.
@@ -151,16 +151,15 @@ def omega_gram(pt: SlicePoint) -> RatMatrix:
     r, x = pt.realization, pt.x
     dg, dz = r.dim_g, r.dim_zf
     n = x.rows
-    flat_g = [b.flat_row() for b in r.g_basis]
     g_cols: ColumnIndex = [[] for _ in range(n * n)]
-    for i, b in enumerate(flat_g):
+    for i, b in enumerate(r.g_rows):
         for c, val in b.items():
             l, k = divmod(c, n)
             g_cols[k * n + l].append((i, val))
-    gram = _antisymmetric_product(ad_rows(x, flat_g), g_cols, dg + dz)
-    for j, z in enumerate(r.zf_basis):
-        for i in sorted({i for c in z.flat_row() for i, _ in g_cols[c]}):
-            val = -trace_form(z, r.g_basis[i])
+    gram = _antisymmetric_product(ad_rows(x, r.g_rows), g_cols, dg + dz)
+    for j, z in enumerate(r.zf_rows):
+        for i in sorted({i for c in z for i, _ in g_cols[c]}):
+            val = -trace_form(z, r.g_rows[i], n)
             if val:
                 gram[i][dg + j] = val
                 gram[dg + j][i] = -val

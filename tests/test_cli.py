@@ -281,7 +281,10 @@ def test_omega_gram_pairs_only_supports_that_meet(capsys, monkeypatch):
     r = realizations.build_case("sp8-hook6")
     all_pairs = r.dim_g * (r.dim_g - 1) // 2 + r.dim_g * r.dim_zf
     assert all_pairs == 1638
-    meeting = sum(1 for b in r.g_basis for z in r.zf_basis
+    n = r.e.rows
+    g_basis, zf_basis = ([exactlinalg.RatMatrix.from_flat_row(row, n, n) for row in rows]
+                         for rows in (r.g_rows, r.zf_rows))
+    meeting = sum(1 for b in g_basis for z in zf_basis
                   if any(l in z.entries[k] for l, row in enumerate(b.entries) for k in row))
     assert meeting == 28
     real_gram, real_trace, grams, traces = verifier.omega_gram, verifier.trace_form, [], []
@@ -290,9 +293,9 @@ def test_omega_gram_pairs_only_supports_that_meet(capsys, monkeypatch):
         grams.append(pt.realization.label)
         return real_gram(pt)
 
-    def counted_trace(a, b):
+    def counted_trace(a, b, n):
         traces.append(1)
-        return real_trace(a, b)
+        return real_trace(a, b, n)
 
     monkeypatch.setattr(verifier, "omega_gram", counted_gram)
     monkeypatch.setattr(verifier, "trace_form", counted_trace)
@@ -364,7 +367,7 @@ def test_verify_model_broken_at_the_slice_point_exits_1(capsys, monkeypatch):
 
     def broken(label):
         r = real(label)
-        return dataclasses.replace(r, q_basis=r.q_basis + [r.g_basis[0]])
+        return dataclasses.replace(r, q_rows=r.q_rows + [r.g_rows[0]])
 
     monkeypatch.setattr(realizations, "build_case", broken)
     code, out, err = run(capsys, "verify", "--case", "gl4-hook1")

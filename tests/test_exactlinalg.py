@@ -64,7 +64,7 @@ def test_bracket_gl2_units():
     e21 = RatMatrix([[0, 0], [1, 0]])
     assert bracket(e12, e21) == RatMatrix([[1, 0], [0, -1]])
     assert bracket(e12, e12).is_zero()
-    assert trace_form(e12, e21) == 1
+    assert trace_form(e12.flat_row(), e21.flat_row(), 2) == 1
 
 
 def test_bracket_size_mismatch():
@@ -89,8 +89,12 @@ def test_rank_nullity(seed, rows, cols):
 def test_trace_form_symmetric_and_ad_invariant(seed, n):
     rng = random.Random(seed)
     x, y, z = (_random_matrix(rng, n, n) for _ in range(3))
-    assert trace_form(x, y) == trace_form(y, x)
-    assert trace_form(bracket(x, y), z) + trace_form(y, bracket(x, z)) == 0
+
+    def tr(a, b):
+        return trace_form(a.flat_row(), b.flat_row(), n)
+
+    assert tr(x, y) == tr(y, x)
+    assert tr(bracket(x, y), z) + tr(y, bracket(x, z)) == 0
 
 
 def test_matmul_and_transpose():
@@ -98,7 +102,7 @@ def test_matmul_and_transpose():
     b = RatMatrix([[0, 1], [1, 0]])
     assert a @ b == RatMatrix([[2, 1], [4, 3]])
     assert a.transpose() == RatMatrix([[1, 3], [2, 4]])
-    assert a.trace() == 5
+    assert sum(a.data[i][i] for i in range(2)) == 5
 
 
 def test_fractions_stay_exact():
@@ -176,7 +180,7 @@ def test_sparse_core_agrees_with_dense_reference(dense):
     ab, ba = _ref_mul(a, b), _ref_mul(b, a)
     assert bracket(x, y) == RatMatrix([[p - q for p, q in zip(r1, r2)]
                                        for r1, r2 in zip(ab, ba)])
-    assert trace_form(x, y) == sum(ab[i][i] for i in range(len(a)))
+    assert trace_form(x.flat_row(), y.flat_row(), len(a)) == sum(ab[i][i] for i in range(len(a)))
     stacked = a + c
     assert RatMatrix(stacked).rank() == len(_ref_rref(stacked)[1])
     assert kernel(RatMatrix(stacked)).basis == _ref_kernel(stacked, len(a))
@@ -232,6 +236,14 @@ def test_ad_rows_rejects_bad_shapes():
         ad_rows(RatMatrix([[1, 2, 3], [4, 5, 6]]), [{0: 1}])
 
 
+def test_trace_form_rejects_rows_outside_the_matrix_space():
+    for row in ({4: 1}, {-1: 1}):
+        with pytest.raises(ValueError):
+            trace_form({0: 1}, row, 2)
+        with pytest.raises(ValueError):
+            trace_form(row, {0: 1}, 2)
+
+
 def test_kernel_basis_stays_exact():
     (v,) = kernel(RatMatrix([[2, 1]])).basis
     assert v == (Fraction(-1, 2), 1)
@@ -243,7 +255,9 @@ def test_realization_entries_are_exact(label):
     from slicescope.realizations import build_case
 
     r = build_case(label)
-    mats = [r.e, r.f, r.h, r.gram] + r.g_basis + r.zf_basis + r.q_basis
+    n = r.e.rows
+    mats = [r.e, r.f, r.h, r.gram] + [RatMatrix.from_flat_row(row, n, n)
+                                      for row in r.g_rows + r.zf_rows + r.q_rows]
     for m in mats:
         if m is None:
             continue

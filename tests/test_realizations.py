@@ -18,6 +18,15 @@ from slicescope.realizations import (InconsistentRealization, RealizationError, 
                                      sp6_q_cartan, weight_space_dims)
 
 
+def _matrices(rows, n):
+    """The n x n matrices whose row-major flattenings are the given sparse rows."""
+    return [RatMatrix.from_flat_row(row, n, n) for row in rows]
+
+
+def _trace(m):
+    return sum(m.entries[i].get(i, 0) for i in range(m.rows))
+
+
 def _check_triple_relations(r):
     assert bracket(r.e, r.f) == r.h
     assert bracket(r.h, r.e) == r.e.scale(2)
@@ -38,8 +47,7 @@ def _product_defined_algebra(n, gram):
         for j in range(n):
             x = RatMatrix.from_entries(n, n, {(i, j): 1})
             cols.append((x.transpose() @ gram + gram @ x).flat_row())
-    ker = kernel(RatMatrix.from_rows(cols, n * n).transpose())
-    return [RatMatrix.from_flat_row(v, n, n) for v in ker.rows]
+    return kernel(RatMatrix.from_rows(cols, n * n).transpose()).rows
 
 
 def _small_sp_so_types():
@@ -78,22 +86,23 @@ def test_form_rows_vanishes_on_every_model_element():
     checked = 0
     for family, p in _small_sp_so_types():
         r = classical_triple(family, p)
-        elements = [r.e, r.f, r.h, *r.g_basis, *r.zf_basis, *r.q_basis]
-        assert _form_rows(r.gram, [x.flat_row() for x in elements]) == [{}] * len(elements)
+        elements = [x.flat_row() for x in (r.e, r.f, r.h)] + r.g_rows + r.zf_rows + r.q_rows
+        assert _form_rows(r.gram, elements) == [{}] * len(elements)
         checked += 1
     assert checked == 61
 
 
-def _scaled_sum_ad_kernel(g_basis, op):
-    """The kernel basis of ad(op) on span(g_basis), each a sum of scaled g elements."""
+def _scaled_sum_ad_kernel(g_rows, op):
+    """The kernel basis of ad(op) on span(g_rows), each a sum of scaled g elements, flattened."""
     n = op.rows
+    g_basis = _matrices(g_rows, n)
     cols = [bracket(op, b).flat_row() for b in g_basis]
     out = []
     for coeffs in kernel(RatMatrix.from_rows(cols, n * n).transpose()).rows:
         acc = RatMatrix.from_entries(n, n, {})
         for t, c in coeffs.items():
             acc = acc + g_basis[t].scale(c)
-        out.append(acc)
+        out.append(acc.flat_row())
     return out
 
 
@@ -103,8 +112,8 @@ def test_zf_basis_matches_the_scaled_sum():
         for n in range(1, 9):
             for p in valid_jordan_types(kind, n):
                 r = classical_triple(AlgebraFamily(kind, n), p)
-                assert r.zf_basis == _scaled_sum_ad_kernel(r.g_basis, r.f), (kind, p)
-                assert _ad_kernel_in(r.g_basis, r.h) == _scaled_sum_ad_kernel(r.g_basis, r.h)
+                assert r.zf_rows == _scaled_sum_ad_kernel(r.g_rows, r.f), (kind, p)
+                assert _ad_kernel_in(r.g_rows, r.h) == _scaled_sum_ad_kernel(r.g_rows, r.h)
                 checked += 1
     assert checked == 127
 
@@ -129,12 +138,12 @@ def _closed_form_q(r):
             form_m = _standard_symplectic(d)
         before = RatMatrix.from_entries(offset, offset, {})
         after = RatMatrix.from_entries(n - offset - i * d, n - offset - i * d, {})
-        for x in build_algebra(d, form_m):
+        for x in _matrices(build_algebra(d, form_m), d):
             out.append(_direct_sum([before, _kron(x, RatMatrix.identity(i)), after]))
         offset += i * d
     if r.family.kind == "GL":
         scalar = RatMatrix.identity(n)
-        out = [c.scale(n) - scalar.scale(c.trace()) for c in out]
+        out = [c.scale(n) - scalar.scale(_trace(c)) for c in out]
     return out
 
 
@@ -144,7 +153,7 @@ def test_q_basis_spans_the_closed_form_centralizer():
         for n in range(1, 9):
             for p in valid_jordan_types(kind, n):
                 r = classical_triple(AlgebraFamily(kind, n), p)
-                q = Subspace(n * n, [c.flat_row() for c in r.q_basis])
+                q = Subspace(n * n, r.q_rows)
                 oracle = Subspace.span(n * n, [c.flat_row() for c in _closed_form_q(r)])
                 assert q.dim == oracle.dim == r.orbit.effective_centralizer.dim, (kind, p)
                 assert q.intersection_dim(oracle) == q.dim, (kind, p)
@@ -160,7 +169,7 @@ def test_build_algebra_rejects_bad_gram():
 
 def test_algebra_elements_preserve_form():
     gram = RatMatrix.identity(4)
-    for x in build_algebra(4, gram):
+    for x in _matrices(build_algebra(4, gram), 4):
         assert (x.transpose() @ gram + gram @ x).is_zero()
 
 
@@ -200,8 +209,8 @@ def test_classical_triple_general_gl_type():
     assert r.dim_zf == orbit_datum(gl(5), Partition((3, 2))).slice_dim == 9
     assert r.dim_q == effective_centralizer(gl(5), Partition((3, 2))).dim == 1
     assert hook_parameters(r.jordan_type) is None
-    for c in r.q_basis:
-        assert c.trace() == 0
+    for c in _matrices(r.q_rows, 5):
+        assert _trace(c) == 0
 
 
 @pytest.mark.parametrize("label,dim_g,dim_zf,dim_q", [
@@ -248,7 +257,7 @@ def test_sp6_33_realization():
     assert (r.dim_g, r.dim_zf, r.dim_q) == (21, 7, 3)
     gram = r.gram
     assert gram.transpose() == -gram
-    for x in (r.e, r.f, r.h) + tuple(r.q_basis):
+    for x in [r.e, r.f, r.h] + _matrices(r.q_rows, 6):
         assert (x.transpose() @ gram + gram @ x).is_zero()
 
 
@@ -267,13 +276,13 @@ def test_weight_space_dims_must_exhaust():
 
 def test_zf_elements_centralize_f():
     r = build_case("so7-hook2")
-    for b in r.zf_basis:
+    for b in _matrices(r.zf_rows, 7):
         assert bracket(r.f, b).is_zero()
 
 
 def test_q_centralizes_triple():
     r = build_case("sp6-hook2")
-    for c in r.q_basis:
+    for c in _matrices(r.q_rows, 6):
         assert bracket(c, r.e).is_zero()
         assert bracket(c, r.f).is_zero()
         assert bracket(c, r.h).is_zero()
@@ -293,7 +302,8 @@ def test_each_q_check_catches_a_bad_element(monkeypatch, extra, message):
         out = real(basis, op, traceless)
         if len(ops) == 2:
             f, e = ops
-            out = out + [{"e": e, "f": f, "identity": RatMatrix.identity(e.rows)}[extra]]
+            bad = {"e": e, "f": f, "identity": RatMatrix.identity(e.rows)}[extra]
+            out = out + [bad.flat_row()]
         return out
 
     monkeypatch.setattr(realizations, "_ad_kernel_in", with_extra)

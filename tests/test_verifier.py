@@ -34,14 +34,15 @@ def test_omega_gram_is_antisymmetric():
 
 def _all_pairs_gram(r, x):
     """The slice form's Gram matrix from its definition, on every g-g and g-z(f) pair."""
-    dg, dz = r.dim_g, r.dim_zf
+    dg, dz, n = r.dim_g, r.dim_zf, x.rows
+    g_basis = [RatMatrix.from_flat_row(b, n, n) for b in r.g_rows]
     gram = {}
-    for i, bi in enumerate(r.g_basis):
+    for i, bi in enumerate(g_basis):
         for j in range(i + 1, dg):
-            val = trace_form(x, bracket(bi, r.g_basis[j]))
+            val = trace_form(x.flat_row(), bracket(bi, g_basis[j]).flat_row(), n)
             gram[i, j], gram[j, i] = val, -val
-        for j, zj in enumerate(r.zf_basis):
-            val = -trace_form(zj, bi)
+        for j, zj in enumerate(r.zf_rows):
+            val = -trace_form(zj, r.g_rows[i], n)
             gram[i, dg + j], gram[dg + j, i] = val, -val
     return RatMatrix.from_entries(dg + dz, dg + dz, gram)
 
@@ -208,10 +209,11 @@ def _kernel_containment(w, gram):
 
 def _kernel_stabilizer(r, x):
     """dim {c in q : [c, x] = 0} as the dimension of a kernel basis."""
-    if not r.q_basis:
+    if not r.q_rows:
         return 0
-    cols = [bracket(c, x).flat_row() for c in r.q_basis]
-    return kernel(RatMatrix.from_rows(cols, x.rows * x.cols).transpose()).dim
+    n = x.rows
+    cols = [bracket(RatMatrix.from_flat_row(c, n, n), x).flat_row() for c in r.q_rows]
+    return kernel(RatMatrix.from_rows(cols, n * n).transpose()).dim
 
 
 @pytest.fixture(scope="module")
@@ -239,12 +241,38 @@ def test_rank_shortcuts_match_the_kernels(samples):
         assert rep.stabilizer_dim == _kernel_stabilizer(r, pt.x), (r.label, seed)
 
 
+def test_a_check_flattens_only_e_and_rebuilds_only_x(monkeypatch):
+    # The model's bases are flattened rows already: one check flattens e,
+    # to sum x as a row, and makes that one row a matrix.
+    real_flat, real_from, flats, froms = RatMatrix.flat_row, RatMatrix.from_flat_row, [], []
+
+    def counted_flat(m):
+        flats.append(m)
+        return real_flat(m)
+
+    def counted_from(cls, row, rows, cols):
+        froms.append(row)
+        return real_from(row, rows, cols)
+
+    for label in ("sp8-hook6", "gl6-1.1.1.1.1.1"):
+        r = build_case(label)
+        flats.clear()
+        froms.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(RatMatrix, "flat_row", counted_flat)
+            mp.setattr(RatMatrix, "from_flat_row", classmethod(counted_from))
+            _check_at(r, 0)
+        assert flats == [r.e], label
+        assert len(froms) == 1, label
+        assert RatMatrix.from_flat_row(froms[0], r.e.rows, r.e.rows) == slice_point(r, 0).x
+
+
 def test_slice_point_is_e_plus_the_combination(samples):
     for r, seed in samples:
         pt = slice_point(r, seed)
-        x = r.e
-        for c, z in zip(pt.coefficients, r.zf_basis):
-            x = x + z.scale(c)
+        x, n = r.e, r.e.rows
+        for c, z in zip(pt.coefficients, r.zf_rows):
+            x = x + RatMatrix.from_flat_row(z, n, n).scale(c)
         assert pt.x == x, (r.label, seed)
 
 
