@@ -12,17 +12,20 @@ only the nonzero entries.  ``ad_rows`` is the one commutator loop: it
 maps a whole basis of flattened matrices Y to the flattened [op, Y], indexing
 op by column once, with no intermediate product and no matrix built per
 element; ``bracket`` is ``ad_rows`` on a single element.
-Elimination takes rows sparsest first, which keeps fill-in down; its
-results do not depend on the row order, because the reduced row echelon
-form of a span is unique.
+Elimination takes rows sparsest first, which keeps fill-in down, and
+clears a new row's pivot columns in increasing order, whatever order
+the caller stored them in; its results do not depend on either order,
+because the reduced row echelon form of a span is unique.
 
-Vectors (flattened matrices, subspace bases, kernel bases) are sparse
-rows of the same form: a dict, column -> nonzero entry.  A matrix
-model's bases are such rows, n x n matrices flattened row-major, which
-``ad_rows`` and ``trace_form`` take as they are.  Dense forms appear
-only at the public edges: ``RatMatrix.data``, a copy, and
-``Subspace.basis``, a view built on first read.  A ``Subspace`` method
-that takes a vector takes either form.
+Every input is a sparse row of that form: a dict, column -> nonzero
+entry.  Matrices are built from such rows (or from a dict of entries),
+and vectors (flattened matrices, subspace bases, kernel bases) are such
+rows.  A matrix model's bases are n x n matrices flattened row-major,
+which ``ad_rows`` and ``trace_form`` take as they are.  ``_as_row`` is
+the one gate for rows from outside: it checks the columns and refuses a
+stored zero.  ``RatMatrix.data``, a copy, and ``Subspace.basis``, a
+view built on first read, stay as dense views only for the benchmark's
+kernel observer.
 """
 
 from __future__ import annotations
@@ -62,17 +65,6 @@ def _axpy(v: Row, a: Entry, w: Row) -> None:
             del v[j]
 
 
-def _sparse(vec: Sequence) -> Row:
-    """The nonzero entries of a dense vector, by index."""
-    out = {}
-    for j, x in enumerate(vec):
-        if x:
-            x = _entry(x)
-            if x:
-                out[j] = x
-    return out
-
-
 def _dense(row: Row, n: int) -> Vector:
     out: list[Entry] = [0] * n
     for j, x in row.items():
@@ -80,20 +72,18 @@ def _dense(row: Row, n: int) -> Vector:
     return tuple(out)
 
 
-def _as_row(vec: Row | Sequence, n: int) -> Row:
-    """vec as a sparse row of length n; a dict is taken to be one already.
+def _as_row(row: Row, n: int) -> Row:
+    """row, checked to be a sparse row of length n.
 
     A sparse row holds nonzero entries in the form ``RatMatrix`` keeps
-    them.  It is shared, not copied: nothing here writes to a row it was
-    given.
+    them; a stored zero is refused.  It is shared, not copied: nothing
+    here writes to a row it was given.
     """
-    if vec.__class__ is dict:
-        if vec and (min(vec) < 0 or max(vec) >= n):
-            raise ValueError("ambient dimension mismatch")
-        return vec
-    if len(vec) != n:
+    if row and (min(row) < 0 or max(row) >= n):
         raise ValueError("ambient dimension mismatch")
-    return _sparse(vec)
+    if 0 in row.values():
+        raise ValueError("a sparse row stores no zero entry")
+    return row
 
 
 class RatMatrix:
@@ -105,14 +95,10 @@ class RatMatrix:
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, data: Iterable[Iterable]):
-        dense = [list(row) for row in data]
-        self.rows = len(dense)
-        self.cols = len(dense[0]) if dense else 0
-        for row in dense:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows")
-        self.entries: list[Row] = [_sparse(row) for row in dense]
+    def __init__(self, rows: Sequence[Row], cols: int):
+        """The matrix whose row i is the sparse row rows[i], shared, not copied."""
+        self.entries: list[Row] = [_as_row(row, cols) for row in rows]
+        self.rows, self.cols = len(self.entries), cols
 
     @classmethod
     def _wrap(cls, entries: list[Row], rows: int, cols: int) -> "RatMatrix":
@@ -134,11 +120,6 @@ class RatMatrix:
         return cls._wrap(out, rows, cols)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Row], cols: int) -> "RatMatrix":
-        """The matrix whose row i is the sparse row rows[i], shared, not copied."""
-        return cls._wrap([_as_row(row, cols) for row in rows], len(rows), cols)
-
-    @classmethod
     def identity(cls, n: int) -> "RatMatrix":
         return cls._wrap([{i: 1} for i in range(n)], n, n)
 
@@ -157,33 +138,9 @@ class RatMatrix:
         cols = self.cols
         return [[row.get(j, 0) for j in range(cols)] for row in self.entries]
 
-    def __getitem__(self, ij: tuple[int, int]) -> Entry:
-        i, j = ij
-        return self.entries[i].get(j, 0)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, RatMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        return self._plus(1, other)
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return self._plus(-1, other)
-
-    def _plus(self, c: int, other: "RatMatrix") -> "RatMatrix":
-        """self + c * other."""
-        self._same_shape(other)
-        out = []
-        for r1, r2 in zip(self.entries, other.entries):
-            acc = dict(r1)
-            _axpy(acc, c, r2)
-            out.append(acc)
-        return RatMatrix._wrap(out, self.rows, self.cols)
-
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix._wrap([{j: -x for j, x in row.items()} for row in self.entries],
-                               self.rows, self.cols)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -216,15 +173,8 @@ class RatMatrix:
         return {i * cols + j: x for i, row in enumerate(self.entries)
                 for j, x in row.items()}
 
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
     def rank(self) -> int:
         return len(_echelon(self.entries))
-
-    def _same_shape(self, other: "RatMatrix") -> None:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
 
     def __repr__(self):
         return f"RatMatrix({self.rows}x{self.cols})"
@@ -280,9 +230,10 @@ def _echelon(rows: Iterable[Row]) -> dict[int, dict[int, int]]:
     rows are not modified.  Rows are added one at a time, sparsest
     first (a stable sort by nonzero count): a dense row taken early
     fills in every later row it meets, a sparse one barely does.  A new
-    row is cleared at the pivot columns it meets (clearing one never
-    refills another), its leftmost remaining entry becomes a pivot, and
-    that column is cleared from the earlier pivot rows.  Only integers
+    row is cleared at the pivot columns it meets, by increasing column
+    whatever order it stores them in (clearing one never refills
+    another), its leftmost remaining entry becomes a pivot, and that
+    column is cleared from the earlier pivot rows.  Only integers
     are combined, and every combination is divided by its content, so
     no Fraction is built and entries stay small.
 
@@ -293,7 +244,7 @@ def _echelon(rows: Iterable[Row]) -> dict[int, dict[int, int]]:
     reduced: dict[int, dict[int, int]] = {}
     for row in sorted(rows, key=len):
         v = _integer_row(row)
-        for p in [c for c in v if c in reduced]:
+        for p in sorted(v.keys() & reduced.keys()):
             _clear(v, p, reduced[p])
         if not v:
             continue
@@ -322,8 +273,8 @@ def _rref(rows: Iterable[Row]) -> tuple[list[Row], list[int]]:
     return out, pivots
 
 
-def rank_of_vectors(vecs: Sequence[Sequence]) -> int:
-    return len(_echelon(_sparse(v) for v in vecs))
+def rank_of_vectors(rows: Iterable[Row]) -> int:
+    return len(_echelon(rows))
 
 
 _P = (1 << 61) - 1    # a Mersenne prime
@@ -335,14 +286,14 @@ def rank_mod_p(rows: Iterable[Row]) -> int:
     An independent check on an exact rank, never a replacement: a rank
     mod p is at most the rank r over Q, and falls short only when p
     divides every r x r minor.  The elimination is
-    ``_echelon``'s, sparsest rows first and leftmost pivot, on residues:
-    each pivot row is scaled to 1 at its pivot, so clearing needs no
-    content division.
+    ``_echelon``'s, sparsest rows first, pivots cleared by increasing
+    column and leftmost pivot, on residues: each pivot row is scaled to
+    1 at its pivot, so clearing needs no content division.
     """
     reduced: dict[int, Row] = {}
     for row in sorted(rows, key=len):
         v = {j: x for j, x in ((j, x % _P) for j, x in _integer_row(row).items()) if x}
-        for p in [c for c in v if c in reduced]:
+        for p in sorted(v.keys() & reduced.keys()):
             b = v[p]
             for j, x in reduced[p].items():
                 y = (v.get(j, 0) - b * x) % _P
@@ -373,14 +324,14 @@ class Subspace:
     """A subspace of Q^ambient_dim, held as an independent basis of sparse rows.
 
     ``rows`` is the basis; ``basis`` is the same vectors as dense tuples,
-    built on first read for callers outside the package.  With
+    built on first read for the benchmark's kernel observer.  With
     ``check=False`` the caller vouches that the basis is independent.
     The reduced row echelon form of the basis, which makes membership
     and containment reductions, is built on the first query and kept,
     together with the coordinates of each reduced row in the basis.
     """
 
-    def __init__(self, ambient_dim: int, basis: Iterable[Row | Sequence],
+    def __init__(self, ambient_dim: int, basis: Iterable[Row],
                  check: bool = True):
         self.ambient_dim = ambient_dim
         self.rows: list[Row] = [_as_row(v, ambient_dim) for v in basis]
@@ -390,7 +341,7 @@ class Subspace:
             raise ValueError("basis vectors are dependent")
 
     @classmethod
-    def span(cls, ambient_dim: int, vecs: Iterable[Row | Sequence]) -> "Subspace":
+    def span(cls, ambient_dim: int, vecs: Iterable[Row]) -> "Subspace":
         """Subspace spanned by possibly dependent vectors."""
         rows, pivots = _rref(_as_row(v, ambient_dim) for v in vecs)
         sub = cls(ambient_dim, rows, check=False)
@@ -404,7 +355,7 @@ class Subspace:
 
     def matrix(self) -> RatMatrix:
         """The basis stacked as the rows of a dim x ambient_dim matrix."""
-        return RatMatrix.from_rows(self.rows, self.ambient_dim)
+        return RatMatrix(self.rows, self.ambient_dim)
 
     def _pivot_rows(self) -> dict[int, tuple[Row, Row]]:
         if self._pivot_cache is None:
@@ -435,7 +386,7 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def member(self, vec: Row | Sequence) -> bool:
+    def member(self, vec: Row) -> bool:
         return not self._residual(_as_row(vec, self.ambient_dim))
 
     def contains(self, other: "Subspace") -> bool:
@@ -456,11 +407,10 @@ class Subspace:
         joint = len(_echelon(stacked + other.rows))
         return self.dim + other.dim - joint
 
-    def coords(self, vec: Row | Sequence) -> Row | list[Entry] | None:
+    def coords(self, vec: Row) -> Row | None:
         """Coefficients of vec in the stored (original) basis, or None.
 
-        For a sparse row they come as a sparse row, basis index ->
-        coefficient; for a dense vector, as a dense list.
+        They come as a sparse row, basis index -> coefficient.
         """
         v = _as_row(vec, self.ambient_dim)
         if self._residual(v):
@@ -472,9 +422,7 @@ class Subspace:
             c = v.get(p)
             if c:
                 _axpy(sol, c, coords)
-        if v is vec:
-            return sol
-        return [sol.get(t, 0) for t in range(len(self.rows))]
+        return sol
 
 
 def kernel(a: RatMatrix) -> Subspace:

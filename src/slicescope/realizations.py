@@ -125,11 +125,11 @@ def build_algebra(n: int, gram: RatMatrix | None) -> list[Row]:
     if gram.rows != n or gram.cols != n:
         raise RealizationError("gram matrix of wrong size")
     gt = gram.transpose()
-    if gt != gram and gt != -gram:
+    if gt != gram and gt != gram.scale(-1):
         raise RealizationError("gram must be symmetric or antisymmetric")
     if gram.rank() != n:
         raise RealizationError("degenerate gram matrix")
-    return kernel(RatMatrix.from_rows(_form_rows(gram, units), n * n).transpose()).rows
+    return kernel(RatMatrix(_form_rows(gram, units), n * n).transpose()).rows
 
 
 def _ad_kernel_in(basis: list[Row], op: RatMatrix, traceless: bool = False) -> list[Row]:
@@ -147,10 +147,10 @@ def _ad_kernel_in(basis: list[Row], op: RatMatrix, traceless: bool = False) -> l
         for col, b in zip(cols, basis):
             if t := _entry(sum(x for c, x in b.items() if c % (n + 1) == 0)):
                 col[n * n] = t
-    ker = kernel(RatMatrix.from_rows(cols, width).transpose())
+    ker = kernel(RatMatrix(cols, width).transpose())
     if not ker.dim:
         return []
-    return (ker.matrix() @ RatMatrix.from_rows(basis, n * n)).entries
+    return (ker.matrix() @ RatMatrix(basis, n * n)).entries
 
 
 def _sl2_on_jordan_block(m: int) -> tuple[RatMatrix, RatMatrix, RatMatrix]:
@@ -290,8 +290,7 @@ def classical_triple(family: AlgebraFamily, p: Partition) -> MatrixRealization:
 
 def sp6_q_cartan() -> RatMatrix:
     """Cartan element of the embedded sl2 symmetry of the (3,3) slice."""
-    return RatMatrix([[1 if i == j else 0 for j in range(6)] for i in range(3)]
-                     + [[-1 if i + 3 == j else 0 for j in range(6)] for i in range(3)])
+    return RatMatrix.from_entries(6, 6, {(i, i): 1 if i < 3 else -1 for i in range(6)})
 
 
 def weight_space_dims(r: MatrixRealization, cartan: RatMatrix,
@@ -307,11 +306,12 @@ def weight_space_dims(r: MatrixRealization, cartan: RatMatrix,
         if coords is None:
             raise RealizationError("ad(cartan) does not preserve z(f)")
         ad.update(((s, t), x) for s, x in coords.items())
-    a = RatMatrix.from_entries(r.dim_zf, r.dim_zf, ad)
     dims: dict[int, int] = {}
     for w in weights:
-        shifted = a - RatMatrix.identity(a.rows).scale(w)
-        dims[w] = kernel(shifted).dim
+        shifted = dict(ad)
+        for i in range(r.dim_zf):
+            shifted[i, i] = shifted.get((i, i), 0) - w
+        dims[w] = kernel(RatMatrix.from_entries(r.dim_zf, r.dim_zf, shifted)).dim
     if sum(dims.values()) != r.dim_zf:
         raise RealizationError("weights do not exhaust z(f)")
     return dims
@@ -321,6 +321,7 @@ def build_case(label: str) -> MatrixRealization:
     """Build a realization from a case label.
 
     Labels are glN-hookK / spN-hookK / soN-hookK for the hook (N-K, 1^K),
+    which needs N - K >= 2 (at N - K = 1 it is the zero orbit 1^N),
     glN-a.b.c / spN-a.b.c / soN-a.b.c for a general Jordan type, and
     sp6-33, an alias of sp6-3.3.  The realization keeps the given label.
     """
@@ -331,6 +332,9 @@ def build_case(label: str) -> MatrixRealization:
     kind, size = m_.group(1), int(m_.group(2))
     if m_.group(3) is not None:
         k = int(m_.group(3))
+        if size - k < 2:
+            raise RealizationError(f"case {label!r}: a hook (N-K, 1^K) needs N - K >= 2, "
+                                   f"got N = {size}, K = {k}")
         parts = (size - k,) + (1,) * k
     else:
         parts = tuple(int(x) for x in m_.group(4).split("."))

@@ -163,7 +163,7 @@ def omega_gram(pt: SlicePoint) -> RatMatrix:
             if val:
                 gram[i][dg + j] = val
                 gram[dg + j][i] = -val
-    return RatMatrix.from_rows(gram, dg + dz)
+    return RatMatrix(gram, dg + dz)
 
 
 def orbit_tangent(pt: SlicePoint) -> Subspace:
@@ -195,7 +195,7 @@ def stabilizer_dim(pt: SlicePoint) -> int:
     """
     r = pt.realization
     rank = len(pt.echelon)
-    columns = RatMatrix.from_rows(pt.rotations, r.family.size ** 2).transpose()
+    columns = RatMatrix(pt.rotations, r.family.size ** 2).transpose()
     found = rank_mod_p(columns.entries)
     if found < rank:
         found = columns.rank()
@@ -235,9 +235,7 @@ def _restricted_form(echelon: list[Row], gram: RatMatrix, dg: int) -> RatMatrix:
     z(f) rows: its g columns give the rotation x g block, whose negative
     transpose is the g x rotation block, and its z(f) columns, times
     E^T, the rotation x rotation block.  That last block is read from
-    gram, not assumed zero.  Each row is stored by increasing column:
-    elimination clears a row's pivots in its stored order, and on these
-    forms leftmost first grows the entries least.
+    gram, not assumed zero.
     """
     k = len(echelon)
     size = k + dg
@@ -263,7 +261,7 @@ def _restricted_form(echelon: list[Row], gram: RatMatrix, dg: int) -> RatMatrix:
                 for t, x in e_cols[c - dg]:
                     out_t[t] = out_t.get(t, 0) + val * x
         out[k - 1 - s] = _clean(out_t)
-    return RatMatrix.from_rows([dict(sorted(row.items())) for row in out], size)
+    return RatMatrix(out, size)
 
 
 def _check_at(r: MatrixRealization, seed: int) -> CoisotropyReport:

@@ -171,7 +171,7 @@ def test_verify_degenerate_omega_exits_1(capsys, monkeypatch):
         gram = real(pt)
         last = gram.rows - 1
         rows = [{j: v for j, v in row.items() if j != last} for row in gram.entries[:last]]
-        return exactlinalg.RatMatrix.from_rows(rows + [{}], gram.cols)
+        return exactlinalg.RatMatrix(rows + [{}], gram.cols)
 
     monkeypatch.setattr(verifier, "omega_gram", degenerate)
     assert run(capsys, "verify", "--case", "sp6-33") == (
@@ -552,6 +552,13 @@ def test_usage_errors_exit_2(capsys):
     for argv in (["--family", "gl", "--partition", "13"], ["--case", "so13-hook2"]):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and "usage error" in err and "size 12" in err and not out
+    # hookK is (N-K, 1^K): at N - K = 1 it would be the zero orbit 1^N, and
+    # below that no partition at all
+    for label in ("gl3-hook2", "gl2-hook1", "sp4-hook3", "so5-hook4", "gl3-hook5"):
+        code, out, err = run(capsys, "verify", "--case", label)
+        assert (code, out) == (2, ""), label
+        assert err.startswith(f"usage error: case '{label}': a hook (N-K, 1^K) needs "
+                              "N - K >= 2"), err
     # --case names the whole model, so family arguments beside it are refused
     for argv in (["--family", "gl", "--partition", "3,2"], ["--size", "9"]):
         code, out, err = run(capsys, "verify", "--case", "sp6-33", *argv)

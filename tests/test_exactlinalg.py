@@ -4,8 +4,24 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slicescope.exactlinalg import (RatMatrix, Subspace, _rref, _sparse, ad_rows,
+from slicescope import exactlinalg
+from slicescope.exactlinalg import (RatMatrix, Subspace, _echelon, _entry, _rref, ad_rows,
                                     bracket, kernel, rank_mod_p, rank_of_vectors, trace_form)
+
+
+def _row(vec):
+    """The sparse row of a dense vector."""
+    return {j: _entry(x) for j, x in enumerate(vec) if x}
+
+
+def _mat(dense):
+    """The matrix of a dense list of equal-length rows."""
+    return RatMatrix([_row(r) for r in dense], len(dense[0]) if dense else 0)
+
+
+def _minus(p, q):
+    """The sparse row p - q."""
+    return {c: _entry(v) for c in p.keys() | q.keys() if (v := p.get(c, 0) - q.get(c, 0))}
 
 
 def test_kernel_identity_is_trivial():
@@ -17,24 +33,24 @@ def test_kernel_zero_matrix_is_everything():
 
 
 def test_kernel_rank_one():
-    ker = kernel(RatMatrix([[1, 1], [2, 2]]))
+    ker = kernel(_mat([[1, 1], [2, 2]]))
     assert ker.dim == 1
     (v,) = ker.basis
     assert v[0] == -v[1] != 0
 
 
 def test_kernel_vectors_annihilate():
-    a = RatMatrix([[1, 2, 3], [4, 5, 6]])
+    a = _mat([[1, 2, 3], [4, 5, 6]])
     for v in kernel(a).basis:
-        col = RatMatrix([[x] for x in v])
-        assert (a @ col).is_zero()
+        col = _mat([[x] for x in v])
+        assert not any((a @ col).entries)
 
 
 def test_contains_plane_and_axis():
-    plane = Subspace(3, [(1, 0, 0), (0, 1, 0)])
-    x_axis = Subspace(3, [(1, 0, 0)])
-    y_axis = Subspace(3, [(0, 1, 0)])
-    z_axis = Subspace(3, [(0, 0, 1)])
+    plane = Subspace(3, [{0: 1}, {1: 1}])
+    x_axis = Subspace(3, [{0: 1}])
+    y_axis = Subspace(3, [{1: 1}])
+    z_axis = Subspace(3, [{2: 1}])
     assert plane.contains(x_axis)
     assert not x_axis.contains(y_axis)
     assert x_axis.contains(x_axis)
@@ -43,27 +59,41 @@ def test_contains_plane_and_axis():
 
 def test_subspace_rejects_dependent_basis():
     with pytest.raises(ValueError):
-        Subspace(2, [(1, 1), (2, 2)])
+        Subspace(2, [{0: 1, 1: 1}, {0: 2, 1: 2}])
 
 
 def test_span_deduplicates():
-    s = Subspace.span(2, [(1, 1), (2, 2), (1, 0)])
+    s = Subspace.span(2, [{0: 1, 1: 1}, {0: 2, 1: 2}, {0: 1}])
     assert s.dim == 2
 
 
 def test_coords_roundtrip():
-    s = Subspace(3, [(1, 2, 0), (0, 1, 1)])
-    v = (2, 5, 1)
+    s = Subspace(3, [{0: 1, 1: 2}, {1: 1, 2: 1}])
+    v = {0: 2, 1: 5, 2: 1}
     c = s.coords(v)
-    assert c == [Fraction(2), Fraction(1)]
-    assert s.coords((0, 0, 1)) is None
+    assert c == {0: Fraction(2), 1: Fraction(1)}
+    assert s.coords({2: 1}) is None
+
+
+def test_a_stored_zero_is_refused():
+    # A stored zero would count as a pivot: rank 1, or a division by zero.
+    for build in (lambda: RatMatrix([{0: 0}], 1),
+                  lambda: RatMatrix([{0: 1}, {0: Fraction(0)}], 1),
+                  lambda: Subspace(2, [{0: 0, 1: 1}]),
+                  lambda: Subspace.span(2, [{1: 0}]),
+                  lambda: Subspace(2, [{0: 1}]).coords({1: 0}),
+                  lambda: RatMatrix.from_flat_row({3: 0}, 2, 2),
+                  lambda: ad_rows(RatMatrix.identity(2), [{1: 0}]),
+                  lambda: trace_form({0: 1}, {0: 0}, 2)):
+        with pytest.raises(ValueError, match="stores no zero"):
+            build()
 
 
 def test_bracket_gl2_units():
-    e12 = RatMatrix([[0, 1], [0, 0]])
-    e21 = RatMatrix([[0, 0], [1, 0]])
-    assert bracket(e12, e21) == RatMatrix([[1, 0], [0, -1]])
-    assert bracket(e12, e12).is_zero()
+    e12 = _mat([[0, 1], [0, 0]])
+    e21 = _mat([[0, 0], [1, 0]])
+    assert bracket(e12, e21) == _mat([[1, 0], [0, -1]])
+    assert not any(bracket(e12, e12).entries)
     assert trace_form(e12.flat_row(), e21.flat_row(), 2) == 1
 
 
@@ -73,8 +103,7 @@ def test_bracket_size_mismatch():
 
 
 def _random_matrix(rng, rows, cols, lo=-4, hi=4):
-    return RatMatrix([[rng.randint(lo, hi) for _ in range(cols)]
-                      for _ in range(rows)])
+    return _mat([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
 
 
 @given(st.integers(0, 10_000), st.integers(1, 5), st.integers(1, 5))
@@ -98,15 +127,15 @@ def test_trace_form_symmetric_and_ad_invariant(seed, n):
 
 
 def test_matmul_and_transpose():
-    a = RatMatrix([[1, 2], [3, 4]])
-    b = RatMatrix([[0, 1], [1, 0]])
-    assert a @ b == RatMatrix([[2, 1], [4, 3]])
-    assert a.transpose() == RatMatrix([[1, 3], [2, 4]])
+    a = _mat([[1, 2], [3, 4]])
+    b = _mat([[0, 1], [1, 0]])
+    assert a @ b == _mat([[2, 1], [4, 3]])
+    assert a.transpose() == _mat([[1, 3], [2, 4]])
     assert sum(a.data[i][i] for i in range(2)) == 5
 
 
 def test_fractions_stay_exact():
-    a = RatMatrix([[Fraction(1, 3), Fraction(1, 7)]])
+    a = _mat([[Fraction(1, 3), Fraction(1, 7)]])
     assert a.scale(21).data[0] == [Fraction(7), Fraction(3)]
 
 
@@ -175,25 +204,25 @@ def _square_triples(draw):
 @settings(max_examples=150, deadline=None)
 def test_sparse_core_agrees_with_dense_reference(dense):
     a, b, c = dense
-    x, y, z = (RatMatrix(m) for m in dense)
-    assert x @ y == RatMatrix(_ref_mul(a, b))
+    x, y = _mat(a), _mat(b)
+    assert x @ y == _mat(_ref_mul(a, b))
     ab, ba = _ref_mul(a, b), _ref_mul(b, a)
-    assert bracket(x, y) == RatMatrix([[p - q for p, q in zip(r1, r2)]
-                                       for r1, r2 in zip(ab, ba)])
+    assert bracket(x, y) == _mat([[p - q for p, q in zip(r1, r2)]
+                                  for r1, r2 in zip(ab, ba)])
     assert trace_form(x.flat_row(), y.flat_row(), len(a)) == sum(ab[i][i] for i in range(len(a)))
     stacked = a + c
-    assert RatMatrix(stacked).rank() == len(_ref_rref(stacked)[1])
-    assert kernel(RatMatrix(stacked)).basis == _ref_kernel(stacked, len(a))
+    assert _mat(stacked).rank() == len(_ref_rref(stacked)[1])
+    assert kernel(_mat(stacked)).basis == _ref_kernel(stacked, len(a))
     # The same matrix built sparsely has the same kernel basis.
     sparse = RatMatrix.from_entries(len(stacked), len(a), {
         (i, j): v for i, row in enumerate(stacked) for j, v in enumerate(row)})
-    assert kernel(sparse).basis == kernel(RatMatrix(stacked)).basis
-    for m in (x @ y, bracket(x, y), x + z, x - z, x.scale(Fraction(2, 3)),
-              x.transpose(), RatMatrix(kernel(x).basis or [[0] * len(a)])):
+    assert kernel(sparse).basis == kernel(_mat(stacked)).basis
+    for m in (x @ y, bracket(x, y), x.scale(Fraction(2, 3)),
+              x.transpose(), kernel(x).matrix()):
         assert _is_canonical(m)
     # Containment: span(c) is inside span(a) iff stacking adds no rank.
-    sa = Subspace.span(len(a), a)
-    sc = Subspace.span(len(a), c)
+    sa = Subspace.span(len(a), map(_row, a))
+    sc = Subspace.span(len(a), map(_row, c))
     assert sa.contains(sc) == (len(_ref_rref(stacked)[1]) == len(_ref_rref(a)[1]))
     assert sa.contains(sc) == (sa.intersection_dim(sc) == sc.dim)
     assert [list(v) for v in sa.basis] == _ref_rref(a)[0]
@@ -218,22 +247,22 @@ def _ad_inputs(draw):
 @settings(max_examples=100, deadline=None)
 def test_ad_rows_is_the_flattened_bracket(inputs):
     op_dense, ys = inputs
-    op = RatMatrix(op_dense)
-    mats = [RatMatrix(y) for y in ys] + [RatMatrix.from_entries(op.rows, op.rows, {})]
+    op = _mat(op_dense)
+    mats = [_mat(y) for y in ys] + [RatMatrix.from_entries(op.rows, op.rows, {})]
     got = ad_rows(op, [m.flat_row() for m in mats])
     # bracket is built on ad_rows, so the oracle is the two products.
-    assert got == [(op @ m - m @ op).flat_row() for m in mats]
+    assert got == [_minus((op @ m).flat_row(), (m @ op).flat_row()) for m in mats]
     assert got[-1] == {}
-    assert _is_canonical(RatMatrix.from_rows(got, op.rows ** 2))
+    assert _is_canonical(RatMatrix(got, op.rows ** 2))
 
 
 def test_ad_rows_rejects_bad_shapes():
-    op = RatMatrix([[1, 2], [3, 4]])
+    op = _mat([[1, 2], [3, 4]])
     for row in ({4: 1}, {-1: 1}):
         with pytest.raises(ValueError):
             ad_rows(op, [{0: 1}, row])
     with pytest.raises(ValueError):
-        ad_rows(RatMatrix([[1, 2, 3], [4, 5, 6]]), [{0: 1}])
+        ad_rows(_mat([[1, 2, 3], [4, 5, 6]]), [{0: 1}])
 
 
 def test_trace_form_rejects_rows_outside_the_matrix_space():
@@ -245,7 +274,7 @@ def test_trace_form_rejects_rows_outside_the_matrix_space():
 
 
 def test_kernel_basis_stays_exact():
-    (v,) = kernel(RatMatrix([[2, 1]])).basis
+    (v,) = kernel(_mat([[2, 1]])).basis
     assert v == (Fraction(-1, 2), 1)
     assert type(v[0]) is Fraction and type(v[1]) is int
 
@@ -290,24 +319,26 @@ def test_results_do_not_depend_on_row_order(pair):
     a, perm_a, c, perm_c = pair
     cols = len(a[0])
     pa = _reordered(a, perm_a)
-    assert _rref(map(_sparse, pa)) == _rref(map(_sparse, a))
-    assert kernel(RatMatrix(pa)).basis == kernel(RatMatrix(a)).basis
-    assert Subspace.span(cols, pa).basis == Subspace.span(cols, a).basis
-    assert RatMatrix(pa).rank() == RatMatrix(a).rank() == rank_of_vectors(pa)
+    assert _rref(map(_row, pa)) == _rref(map(_row, a))
+    assert kernel(_mat(pa)).basis == kernel(_mat(a)).basis
+    assert (Subspace.span(cols, map(_row, pa)).basis
+            == Subspace.span(cols, map(_row, a)).basis)
+    assert _mat(pa).rank() == _mat(a).rank() == rank_of_vectors(map(_row, pa))
     # One independent basis in two orders: coordinates follow the basis
     # vectors, and intersections with span(c) keep their dimension.
-    basis = Subspace.span(cols, a).basis
+    basis = Subspace.span(cols, map(_row, a)).rows
     order = _reordered(range(len(basis)), perm_a)
     sub = Subspace(cols, basis)
     psub = Subspace(cols, _reordered(basis, order))
     inside = [sum((x * (t + 1) for t, x in enumerate(col)), Fraction(0))
               for col in zip(*a)]
     for v in [inside] + c:
-        got, pgot = sub.coords(v), psub.coords(v)
+        got, pgot = sub.coords(_row(v)), psub.coords(_row(v))
         assert (got is None) == (pgot is None)
         if got is not None:
-            assert pgot == _reordered(got, order)
-    c_basis = Subspace.span(cols, c).basis
+            assert ([pgot.get(t, 0) for t in range(psub.dim)]
+                    == _reordered([got.get(t, 0) for t in range(sub.dim)], order))
+    c_basis = Subspace.span(cols, map(_row, c)).rows
     sc = Subspace(cols, c_basis)
     psc = Subspace(cols, _reordered(c_basis, _reordered(range(len(c_basis)), perm_c)))
     joint = len(_ref_rref(a + c)[1])
@@ -333,11 +364,28 @@ def _integer_scaled_matrices(draw):
 @given(_integer_scaled_matrices())
 @settings(max_examples=150, deadline=None)
 def test_rank_mod_p_never_exceeds_the_exact_rank(rows):
-    assert rank_mod_p(map(_sparse, rows)) <= rank_of_vectors(rows)
+    assert rank_mod_p(map(_row, rows)) <= rank_of_vectors(map(_row, rows))
 
 
 def test_rank_mod_p_falls_short_on_a_row_of_multiples_of_p():
     rows = [[_P, 0, 3 * _P], [0, 1, 0], [0, Fraction(1, 2), 1]]
-    assert rank_of_vectors(rows) == 3
-    assert rank_mod_p(map(_sparse, rows)) == 2
-    assert rank_mod_p(map(_sparse, rows[1:])) == 2
+    assert rank_of_vectors(map(_row, rows)) == 3
+    assert rank_mod_p(map(_row, rows)) == 2
+    assert rank_mod_p(map(_row, rows[1:])) == 2
+
+
+def test_echelon_clears_pivots_by_increasing_column(monkeypatch):
+    # Three pivot rows go in first (sparsest first); the last row meets
+    # their pivots 0, 1, 2 but stores them as 2, 0, 1.
+    calls = []
+    real = exactlinalg._clear
+
+    def spy(v, p, w):
+        calls.append(p)
+        real(v, p, w)
+
+    monkeypatch.setattr(exactlinalg, "_clear", spy)
+    rows = [{0: 1, 5: 1}, {1: 1, 5: 2}, {2: 1, 5: 3}, {2: 1, 0: 1, 1: 1, 4: 1}]
+    reduced = _echelon(rows)
+    assert calls == [0, 1, 2]
+    assert reduced[4] == {4: 1, 5: -6}

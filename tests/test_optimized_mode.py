@@ -69,7 +69,7 @@ def test_package_has_no_orphaned_private_helpers():
 
 def test_verifier_keeps_vectors_sparse():
     # The verify path passes sparse rows end to end; the dense views are
-    # for callers outside the package.
+    # for the benchmark's kernel observer.
     path = PACKAGE / "verifier.py"
     dense = [f"{path.name}:{node.lineno} .{node.attr}"
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
