@@ -70,8 +70,9 @@ def test_one_traced_verify_round_passes():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
-    # A sample lies on the slice by construction: z(f) is looked up once
-    # per sample, to put the rotations in its coordinates.
+    # z(f) is looked up only on the exact path, to put the rotations in
+    # its coordinates: every sample of the negative controls takes it, and
+    # a sample decided by the squeeze does not.
     metrics = result["metrics"]
-    assert (metrics["realizations.zf_subspace.calls_per_check"]["value"]
-            == metrics["verifier.attempts_per_check"]["value"])
+    assert (0 < metrics["realizations.zf_subspace.calls_per_check"]["value"]
+            < metrics["verifier.attempts_per_check"]["value"])

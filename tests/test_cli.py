@@ -323,10 +323,10 @@ def test_verify_brackets_only_to_check_the_model(capsys, monkeypatch):
     assert len(calls) == 3
 
 
-def test_verify_applies_ad_twice_per_sample(capsys, monkeypatch):
-    # Per sample, ad is applied to two bases: g for the Gram matrix, and q
-    # once for the rotations [x, c] that both the orbit tangent and the
-    # stabilizer read.
+def test_verify_applies_ad_three_times_per_sample(capsys, monkeypatch):
+    # Per sample decided by the squeeze, ad is applied to three bases: g
+    # for the Gram matrix, q once for the rotations [x, c], and f over the
+    # rotations, to check that they lie in z(f).
     real_ad, real_check, ads, checks = verifier.ad_rows, verifier._check_at, [], []
 
     def counted_ad(op, rows):
@@ -344,7 +344,7 @@ def test_verify_applies_ad_twice_per_sample(capsys, monkeypatch):
         checks.clear()
         code, _, _ = run(capsys, "verify", "--case", label)
         assert code == 0 and checks, label
-        assert len(ads) == 2 * len(checks), label
+        assert len(ads) == 3 * len(checks), label
 
 
 def test_verify_broken_model_exits_1(capsys, monkeypatch):
@@ -395,6 +395,66 @@ def test_verify_rotation_rank_mod_p_below_the_echelon_is_recomputed(capsys, monk
         0, '{"case": "sp6-33", "contained": true, "dim_W": 24, "dim_W_perp": 4, '
            '"dim_ambient": 28, "dim_intersection": 4, "inconclusive": false, '
            '"omega_rank": 28, "seed": 0, "stabilizer_dim": 0}\n', "")
+
+
+# Hyperspherical labels of each family, with the zero orbit of gl(6) and
+# so(4) (2,2), whose generic stabilizers are nonzero, and the two negative
+# controls.
+_SQUEEZE_LABELS = ["gl4-hook1", "gl6-1.1.1.1.1.1", "sp6-33", "sp8-hook6", "so7-hook2",
+                   "so4-2.2", "gl5-3.2", "gl6-2.2.2"]
+
+
+def _verify_outputs(capsys, labels):
+    return {label: run(capsys, "verify", "--case", label) for label in labels}
+
+
+def test_verify_with_r1_overstated_exits_1_and_never_flips_a_verdict(capsys, monkeypatch):
+    # r1 one above its value puts the squeeze's lower end one above the
+    # upper where they met: the exact record breaks the bounds.  A type
+    # predicted not coisotropic never reads r1, so its record stands.
+    honest = _verify_outputs(capsys, _SQUEEZE_LABELS)
+    real = verifier.krylov_rank
+    monkeypatch.setattr(verifier, "krylov_rank", lambda pt: real(pt) + 1)
+    for label, (code, out, err) in _verify_outputs(capsys, _SQUEEZE_LABELS).items():
+        if label in ("gl5-3.2", "gl6-2.2.2"):
+            assert (code, out, err) == honest[label], label
+        else:
+            assert code == 1 and not out, label
+            assert err.startswith("error: dim(W meet W-perp) ") and \
+                err.endswith(": broken realization\n"), label
+
+
+def test_verify_with_r1_understated_falls_back_to_the_same_record(capsys, monkeypatch):
+    # One below, the ends do not meet, and the exact path prints the record
+    # the squeeze decided, byte for byte.
+    honest = _verify_outputs(capsys, _SQUEEZE_LABELS)
+    real, real_tangent, exact = verifier.krylov_rank, verifier.orbit_tangent, []
+    monkeypatch.setattr(verifier, "krylov_rank", lambda pt: real(pt) - 1)
+    monkeypatch.setattr(verifier, "orbit_tangent", lambda pt: exact.append(1) or real_tangent(pt))
+    for label in _SQUEEZE_LABELS:
+        exact.clear()
+        assert run(capsys, "verify", "--case", label) == honest[label], label
+        assert honest[label][0] == 0 and exact, label
+
+
+def test_verify_q_direction_leaving_zf_exits_1_before_the_exact_path(capsys, monkeypatch):
+    # A g element posing as a symmetry c has [f, [x, c]] nonzero: the
+    # squeeze refuses the model before any rotation is put in z(f)
+    # coordinates.
+    real = realizations.build_case
+
+    def broken(label):
+        r = real(label)
+        return dataclasses.replace(r, q_rows=r.q_rows + [r.g_rows[0]])
+
+    def exact_path(self):
+        raise AssertionError("the exact path ran")
+
+    monkeypatch.setattr(realizations, "build_case", broken)
+    monkeypatch.setattr(realizations.MatrixRealization, "zf_subspace", exact_path)
+    for label in ("gl4-hook1", "sp6-33", "so7-hook2"):
+        assert run(capsys, "verify", "--case", label) == (
+            1, "", "error: q direction leaves z(f): broken realization\n"), label
 
 
 # SHA-256 over "label seed exit code", a newline and stdout, for

@@ -10,7 +10,8 @@ from slicescope.exactlinalg import (RatMatrix, Subspace, _echelon, bracket, kern
 from slicescope.liealg import AlgebraFamily, gl, orbit_datum
 from slicescope.realizations import build_case, classical_triple
 from slicescope.verifier import (SlicePoint, _check_at, _restricted_form, coisotropy_check,
-                                 omega_gram, orbit_tangent, slice_point, stabilizer_dim)
+                                 krylov_rank, omega_gram, orbit_tangent, radical_bounds,
+                                 slice_point, stabilizer_dim)
 from slicescope.partitions import Partition, valid_jordan_types
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -352,3 +353,60 @@ def test_containment_on_degenerate_forms():
         filled += any(j >= dg for row in gram.entries[dg:] for j in row) and bool(echelon)
         checked += 1
     assert filled >= 10
+
+
+def _exact_record(r, seed):
+    """The record of the exact path alone: the rotation echelon and omega on W."""
+    pt = slice_point(r, seed)
+    gram = omega_gram(pt)
+    dim_w = orbit_tangent(pt).dim
+    intersection = dim_w - _restricted_form(pt.echelon, gram, r.dim_g).rank()
+    perp = gram.rows - dim_w
+    return {"case": r.label, "seed": seed, "dim_ambient": gram.rows, "omega_rank": gram.rank(),
+            "dim_W": dim_w, "dim_W_perp": perp, "contained": intersection == perp,
+            "dim_intersection": intersection, "stabilizer_dim": stabilizer_dim(pt),
+            "inconclusive": False}
+
+
+def _small_types(samples):
+    """The model of every valid gl/sp/so type with n <= 8, from ``samples``."""
+    return [r for r, _ in samples[2 * 38:]]
+
+
+def test_squeeze_agrees_with_the_exact_path(samples):
+    # Every type with n <= 8 at seeds 0, 1 and 7, and the verify-cases labels
+    # at seeds 0 and 1.  The squeeze's ends bracket the exact record on every
+    # sample; where they meet, the record is the exact one, field by field.
+    cases = samples[:2 * 38] + [(r, seed) for r in _small_types(samples) for seed in (0, 1, 7)]
+    decided = contained = 0
+    fallbacks = []
+    for r, seed in cases:
+        exact = _exact_record(r, seed)
+        assert _check_at(r, seed).to_dict() == exact, (r.label, seed)
+        lower, upper = radical_bounds(slice_point(r, seed))
+        assert lower <= exact["dim_intersection"] <= exact["dim_W_perp"] <= upper, (r.label, seed)
+        contained += exact["contained"]
+        decided += lower == upper
+        if exact["contained"] and lower < upper:
+            fallbacks.append((r.label, seed))
+            # Only a special x falls back: its Krylov vectors are dependent.
+            krylov = r.family.size if r.family.kind == "GL" else r.family.size // 2
+            assert krylov_rank(slice_point(r, seed)) < krylov, (r.label, seed)
+    assert fallbacks == [("so2-1.1", 7)]   # its one coefficient is 0, so x = 0
+    assert contained == decided + 1
+
+
+def test_squeeze_closes_with_rk_q_on_every_hyperspherical_type(samples):
+    # dim ker Q is at least rk q at every point, and r1 and k can only grow
+    # at the generic point, so a squeeze that closes with rk q in place of
+    # dim q - rank Q proves containment at the generic point.
+    closed = 0
+    for r in _small_types(samples):
+        if not predicted_coisotropy(r.verdict)["contained"]:
+            continue
+        pt = slice_point(r, 0)
+        k = pt.rotation_rank
+        rk_q = r.orbit.effective_centralizer.rank
+        assert krylov_rank(pt) + rk_q - (r.dim_q - k) == r.dim_zf - k, r.label
+        closed += 1
+    assert closed == 79
