@@ -38,10 +38,11 @@ class InconsistentRealization(RealizationError):
 # 2-core x86-64 box with CPython 3.11, three runs each, took 0.26-0.27 /
 # 0.25-0.40 / 0.41-0.43 / 0.65-0.67 s for the zero orbit of gl(n) at n = 9 /
 # 10 / 11 / 12, and 0.11-0.24 / 0.15-0.29 / 0.17-0.19 / 0.26-0.27 s for the
-# minimal orbit (2, 1, ..., 1).  Both are decided by the squeeze; the
-# costliest type of gl(12) is now (2, 2, 1^8), 0.64-0.92 s, which is not
-# hyperspherical and takes the verifier's exact path.  Raise the cap only
-# after timing the costliest type of each new size.
+# minimal orbit (2, 1, ..., 1).  Both are decided by the squeeze.  (2, 2,
+# 1^8), not hyperspherical, whose squeeze's ends do not meet, took
+# 0.53-0.78 s, and the zero orbit 0.76-0.78 s in the same runs: the zero
+# orbit is the costliest type of gl(12).  Raise the cap only after timing
+# the costliest type of each new size.
 MAX_REALIZATION_SIZE = 12
 
 

@@ -16,31 +16,29 @@ IMRN 2002).  Its rank is still computed, and a rank drop raises
 ``InconsistentRealization``, as every other failed cross-check of the
 model does.
 
-Where the verdict predicts containment, a sample is first decided by a
-squeeze.  At (1, x), W is g plus the rotations [x, c], c in q, which lie
-in z(f).  The form is (x, [xi, eta]) + (u, eta) - (v, xi) on (xi, u),
-(eta, v), with (-,-) the trace pairing, nondegenerate on g.  So (eta, v)
-is orthogonal to all of g exactly when v = [eta, x] = -[x, eta], and to
-the rotation (0, [x, c]) exactly when ([x, c], eta) = 0.  Such a vector
-lies in W exactly when [x, eta] is a rotation [x, c], that is, eta in
-z_g(x) + q; write eta = xi + c with xi in z_g(x).  Then ([x, c'], xi) =
--(c', [x, xi]) = 0, so the last condition asks only that c lie in
-ker Q, Q_st = tr([x, q_s] q_t).  Hence xi -> (xi, -[x, xi]) maps
-z_g(x) + ker Q one to one onto W meet W-perp: the moment-map lemma
-(Guillemin-Sternberg 1984) in this model's coordinates, the radical of
-omega on W being the tangent of the stabilizer of the moment value.
-z_g(x) meets ker Q in z_q(x), the stabilizer, of dimension s = dim q
-minus the rank of the rotations, so
+Every sample is decided by one identity, the moment-map lemma
+(Guillemin-Sternberg 1984) in this model's coordinates.  At (1, x), W
+is g plus the rotations [x, c], c in q, which lie in z(f).  The form is
+(x, [xi, eta]) + (u, eta) - (v, xi) on (xi, u), (eta, v), with (-,-)
+the trace pairing, nondegenerate on g.  So (eta, v) is orthogonal to
+all of g exactly when v = [eta, x] = -[x, eta], and to the rotation
+(0, [x, c]) exactly when ([x, c], eta) = 0.  Such a vector lies in W
+exactly when [x, eta] is a rotation [x, c], that is, eta in z_g(x) + q;
+write eta = xi + c with xi in z_g(x).  Then ([x, c'], xi) = -(c', [x,
+xi]) = 0, so the last condition asks only that c lie in ker Q, Q_st =
+tr([x, q_s] q_t).  Hence xi -> (xi, -[x, xi]) maps z_g(x) + ker Q one
+to one onto W meet W-perp.  z_g(x) meets ker Q in z_q(x), the
+stabilizer, of dimension s = dim q minus the rank of the rotations, so
 
     dim(W meet W-perp) = dim z_g(x) + dim q - rank Q - s.
 
-Three numbers bound this from one side.  r1, the rank mod p of the
-Krylov vectors x^j v, v = (1, 2, ..., n), over the powers x^j in g
-(every j < n for gl, odd j < n for sp and so), is at most dim z_g(x):
-the powers commute with x, and a rank mod p can only fall short.  k,
-the rank mod p of the rotations, is at most their rank, so s is at
-most dim q - k and dim W at least dim g + k.  rank Q is exact: a rank
-mod p would overstate the lower side.  So
+rank Q is exact, since a rank mod p would overstate the lower end
+below.  The other terms are first bounded from one side.
+r1, the rank mod p of the Krylov vectors x^j v, v = (1, 2, ..., n),
+over the powers x^j in g (every j < n for gl, odd j < n for sp and so),
+is at most dim z_g(x): the powers commute with x, and a rank mod p can
+only fall short.  k, the rank mod p of the rotations, is at most their
+rank, so s is at most dim q - k and dim W at least dim g + k.  So
 
     r1 + dim q - rank Q - (dim q - k) <= dim(W meet W-perp)
         <= dim W-perp = ambient - dim W <= ambient - dim g - k.
@@ -57,14 +55,13 @@ they meet at the generic point too, since r1 and k can only grow
 there: that proves containment at the generic point, not only at the
 sample.
 
-Otherwise the exact path decides: the rotations are eliminated once, in
-z(f) coordinates.  That one echelon gives W's basis, the stabilizer
-(dim q minus its rank) and the rotation rows of omega on W, whose g
-rows come from the Gram matrix as it stands.  The rank is cross-checked
-against k.  The exact record must then lie within the two bounds: a
-record outside them, as when the lower side is above the upper one, is
-a broken model.  The squeeze cannot prove non-containment, so samples
-of a type predicted not coisotropic take the exact path alone.
+Otherwise the identity is read with each term exact.  The rotations are
+eliminated once, in z(f) coordinates: their rank gives dim W and s, and
+is cross-checked against k.  dim z_g(x) is dim g minus the exact rank
+of the Gram matrix's g x g block, the Kirillov form (x, [xi, eta]) of x
+on g, whose kernel is z_g(x) since the trace pairing is nondegenerate
+on g.  The exact record must lie within the two bounds: one outside
+them, as when the lower end is above the upper one, is a broken model.
 
 The stop rule reads the prediction from the verdict the realization
 carries.  A sample is final when its record agrees with every
@@ -137,13 +134,25 @@ class SlicePoint:
         return rank_mod_p(RatMatrix(self.rotations, n * n).transpose().entries)
 
     @cached_property
+    def q_rank(self) -> int:
+        """rank Q, exact: Q_st = tr([x, q_s] q_t), the Kirillov form of x on q.
+
+        Q is antisymmetric for any x and q, so it is summed, like the slice
+        form's g x g block, for t > s only, from the rotations and the
+        column index of q's transposes.
+        """
+        r = self.realization
+        q_cols = _transposed_index(r.q_rows, r.e.rows)
+        return RatMatrix(_antisymmetric_product(self.rotations, q_cols, r.dim_q), r.dim_q).rank()
+
+    @cached_property
     def echelon(self) -> list[dict[int, int]]:
         """The rotations' z(f) coordinates, eliminated once, by increasing pivot.
 
         These are ``_echelon``'s integer rows, each a multiple of a row of
-        the reduced row echelon form, so they span the rotations' image in
-        z(f) coordinates.  A rotation outside z(f) means a broken
-        realization.
+        the reduced row echelon form.  Their number is the exact rank of
+        the rotations, which gives dim W and s where the squeeze's ends do
+        not meet.  A rotation outside z(f) means a broken realization.
         """
         zf = self.realization.zf_subspace()
         coords = []
@@ -301,20 +310,15 @@ def radical_bounds(pt: SlicePoint) -> tuple[int, int]:
     """(r1 + k - rank Q, ambient - dim g - k), the two ends of the squeeze.
 
     The first is at most dim(W meet W-perp), the second at least dim
-    W-perp (the module docstring derives both).  Q_st = tr([x, q_s] q_t)
-    is antisymmetric for any x and q, so it is summed, like the slice
-    form's g x g block, for t > s only, from the rotations and the
-    column index of q's transposes.  The identity holds only if every
-    rotation lies in z(f); one outside it, [f, [x, c]] nonzero, is a
-    broken model.
+    W-perp (the module docstring derives both).  The identity holds only
+    if every rotation lies in z(f); one outside it, [f, [x, c]] nonzero,
+    is a broken model.
     """
     r = pt.realization
     if any(ad_rows(r.f, pt.rotations)):
         raise InconsistentRealization("q direction leaves z(f): broken realization")
     k = pt.rotation_rank
-    q_form = _antisymmetric_product(pt.rotations, _transposed_index(r.q_rows, r.e.rows),
-                                    r.dim_q)
-    return krylov_rank(pt) + k - RatMatrix(q_form, r.dim_q).rank(), r.dim_zf - k
+    return krylov_rank(pt) + k - pt.q_rank, r.dim_zf - k
 
 
 @dataclass(frozen=True)
@@ -334,74 +338,21 @@ class CoisotropyReport:
         return asdict(self)
 
 
-def _restricted_form(echelon: list[Row], gram: RatMatrix, dg: int) -> RatMatrix:
-    """omega on W, for W spanned by g and the echelon rows shifted past g.
-
-    The rows of W come rotation first: the echelon rows last to first,
-    then the g unit rows last to first.  The first columns are then the
-    rotation ones, on which elimination pivots first; with omega zero on
-    z(f) x z(f) they vanish on the rotation rows, and fill in far less.
-    gram must be antisymmetric.  Its g x g block is used as it stands.
-    The rest is one sparse product, of the echelon rows E with gram's
-    z(f) rows: its g columns give the rotation x g block, whose negative
-    transpose is the g x rotation block, and its z(f) columns, times
-    E^T, the rotation x rotation block.  That last block is read from
-    gram, not assumed zero.
-    """
-    k = len(echelon)
-    size = k + dg
-    last = size - 1                       # g row i sits at last - i
-    e_cols: ColumnIndex = [[] for _ in range(gram.rows - dg)]
-    for s, row in enumerate(echelon):
-        for j, val in row.items():
-            e_cols[j].append((k - 1 - s, val))
-    out: list[Row] = [{} for _ in range(k)]
-    out += [{last - j: val for j, val in gram.entries[i].items() if j < dg}
-            for i in reversed(range(dg))]
-    for s, row in enumerate(echelon):
-        acc: Row = {}
-        for j, val in row.items():
-            for c, x in gram.entries[dg + j].items():
-                acc[c] = acc.get(c, 0) + val * x
-        out_t = out[k - 1 - s]
-        for c, val in _clean(acc).items():
-            if c < dg:
-                out_t[last - c] = val
-                out[last - c][k - 1 - s] = -val
-            else:
-                for t, x in e_cols[c - dg]:
-                    out_t[t] = out_t.get(t, 0) + val * x
-        out[k - 1 - s] = _clean(out_t)
-    return RatMatrix(out, size)
-
-
 def _check_at(r: MatrixRealization, seed: int) -> CoisotropyReport:
-    """Coisotropy report at one sampled point.
+    """Coisotropy report at one sampled point, by the moment-map identity.
 
     omega is nondegenerate on G x S_e, a Whittaker reduction of T*G
     (Gan-Ginzburg, IMRN 2002), so its rank is computed only as a check
     on the model: a rank drop is a broken realization.  Hence dim W-perp
-    = ambient - dim W.
+    = ambient - dim W, and (the module docstring derives it)
 
-    Where the verdict predicts containment, the squeeze comes first:
-    W meet W-perp is the image of z_g(x) + ker Q, so
+        dim(W meet W-perp) = dim z_g(x) + dim q - rank Q - s.
 
-        r1 + k - rank Q <= dim(W meet W-perp) <= dim W-perp
-            <= ambient - dim g - k
-
-    (``radical_bounds``; the module docstring derives it).  When the ends
-    meet, dim W = dim g + k, W contains W-perp, and the stabilizer is
-    dim q - k, all exact, with no elimination but the ranks of Q and of
-    the form.  Otherwise, and on every type predicted not coisotropic,
-    the exact path decides: W contains W-perp iff the radical of omega
-    on W is all of W-perp.  A vector of W lies in W-perp iff its
-    coordinates are in the kernel of omega restricted to W, so the
-    radical has dimension dim W - rank of that form
-    (``_restricted_form``).  W, the stabilizer and that form all read
-    the one elimination of the rotations, the point's ``echelon``, and
-    it reuses what the squeeze computed: the Gram matrix, its rank, the
-    rotations and k.  An exact record outside the bounds, as when the
-    lower end is above the upper one, is a broken realization.
+    The squeeze (``radical_bounds``) bounds it first.  When the ends meet,
+    dim W = dim g + k, W contains W-perp, and s = dim q - k.  Otherwise
+    dim W and s come from the point's ``echelon``, dim z_g(x) from the
+    rank of the Gram matrix's g x g block, and rank Q is the squeeze's;
+    that record must lie within the bounds.
     """
     pt = slice_point(r, seed)
     gram = omega_gram(pt)
@@ -409,18 +360,21 @@ def _check_at(r: MatrixRealization, seed: int) -> CoisotropyReport:
     if omega_rank < ambient:
         raise InconsistentRealization(f"omega has rank {omega_rank} < dim_ambient {ambient}: "
                                       "broken realization")
-    bounds = radical_bounds(pt) if predicted_coisotropy(r.verdict)["contained"] else None
-    if bounds is not None and bounds[0] == bounds[1]:
+    lower, upper = radical_bounds(pt)
+    if lower == upper:
         k = pt.rotation_rank
-        dim_w, intersection, stabilizer = r.dim_g + k, bounds[1], r.dim_q - k
+        dim_w, intersection, stabilizer = r.dim_g + k, upper, r.dim_q - k
     else:
+        dg = r.dim_g
         dim_w = orbit_tangent(pt).dim
         stabilizer = stabilizer_dim(pt)
-        intersection = dim_w - _restricted_form(pt.echelon, gram, r.dim_g).rank()
-        if bounds is not None and not bounds[0] <= intersection <= ambient - dim_w <= bounds[1]:
+        kirillov = RatMatrix([{j: v for j, v in row.items() if j < dg}
+                              for row in gram.entries[:dg]], dg)
+        intersection = dg - kirillov.rank() + r.dim_q - pt.q_rank - stabilizer
+        if not lower <= intersection <= ambient - dim_w <= upper:
             raise InconsistentRealization(
                 f"dim(W meet W-perp) {intersection} and dim W-perp {ambient - dim_w} "
-                f"break the bounds {bounds[0]} and {bounds[1]}: broken realization")
+                f"break the bounds {lower} and {upper}: broken realization")
     dim_perp = ambient - dim_w
     return CoisotropyReport(
         case=r.label, seed=seed,

@@ -70,9 +70,9 @@ def test_one_traced_verify_round_passes():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
-    # z(f) is looked up only on the exact path, to put the rotations in
-    # its coordinates: every sample of the negative controls takes it, and
-    # a sample decided by the squeeze does not.
+    # z(f) is looked up only where the squeeze's ends do not meet, to put
+    # the rotations in its coordinates: every sample of the negative
+    # controls, and no sample the squeeze decides.
     metrics = result["metrics"]
     assert (0 < metrics["realizations.zf_subspace.calls_per_check"]["value"]
             < metrics["verifier.attempts_per_check"]["value"])

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slicescope import classifier
-from slicescope.classifier import (EXPECTED_EXCEPTIONS, NON_HOOK_CASES, Status,
-                                   classify, enumerate_and_classify,
-                                   necessary_bound, reduced_inequality,
+from slicescope.classifier import (EXPECTED_EXCEPTIONS, HYPERSPHERICAL_STATUSES,
+                                   NON_HOOK_CASES, Status, classify,
+                                   enumerate_and_classify, necessary_bound,
+                                   predicted_coisotropy, reduced_inequality,
                                    sweep_inequality_proof)
 from slicescope.liealg import AlgebraFamily, gl, orbit_datum, so, sp
 from slicescope.partitions import Partition, hook_parameters, valid_jordan_types
@@ -186,6 +187,28 @@ def test_no_candidate_status_in_range():
                 continue
             for v in enumerate_and_classify(fam):
                 assert v.status != Status.CANDIDATE
+
+
+def test_squeeze_closes_at_the_generic_point_exactly_on_hyperspherical_types():
+    """rk g + rk q + dim q - 2s = dim z(f) exactly when the verdict is hyperspherical.
+
+    At a generic point of the slice the verifier's squeeze has r1 = rk g,
+    dim q - rank Q = rk q and k = dim q - s, with q the effective
+    centralizer, so its ends rk g + rk q - s and dim z(f) - dim q + s
+    meet exactly then.  s is the predicted stabilizer, 0 where none is
+    predicted; with s = 0 the identity is slack 0 in the dimension bound.
+    """
+    checked = hyperspherical = 0
+    for kind in ("GL", "Sp", "SO"):
+        for n in range(2, 25, 2) if kind == "Sp" else range(1, 25):
+            for v in enumerate_and_classify(AlgebraFamily(kind, n)):
+                o, q = v.orbit, v.orbit.effective_centralizer
+                s = predicted_coisotropy(v).get("stabilizer_dim", 0)
+                closes = o.family.rank + q.rank + q.dim - 2 * s == o.slice_dim
+                assert closes == (v.status in HYPERSPHERICAL_STATUSES), (kind, o.jordan_type)
+                checked += 1
+                hyperspherical += closes
+    assert (checked, hyperspherical) == (10692, 555)
 
 
 def test_sp_dual_never_ends_x_2_1():
